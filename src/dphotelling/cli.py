@@ -41,27 +41,32 @@ def read_matrix_csv(path) -> np.ndarray:
     """Parse a CSV file of one observation per row into an n-by-d array.
 
     Comma separated, '.' decimal, optional single header row (detected by a
-    non-numeric first row).
+    non-numeric first row). NaN and infinite fields are rejected.
     """
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            rows = [r for r in csv.reader(fh) if r]
+            rows = list(csv.reader(fh))
     except OSError as exc:
         raise CsvFormatError(f"{path}: cannot read ({exc})") from exc
-    if not rows:
+    # Blank rows are skipped but kept in ``rows``, so that index + 1 is the
+    # line number reported in messages.
+    first = next((i for i, row in enumerate(rows) if row), None)
+    if first is None:
         raise CsvFormatError(f"{path}: file is empty")
 
     def parse_row(row):
         return [float(f) for f in row]
 
-    start = 0
+    start = first
     try:
-        parse_row(rows[0])
+        parse_row(rows[first])
     except ValueError:
-        start = 1  # header row
+        start = first + 1  # header row
     data = []
     width = None
     for i, row in enumerate(rows[start:], start=start + 1):
+        if not row:
+            continue
         try:
             vals = parse_row(row)
         except ValueError as exc:
@@ -75,7 +80,15 @@ def read_matrix_csv(path) -> np.ndarray:
         data.append(vals)
     if not data:
         raise CsvFormatError(f"{path}: no data rows")
-    return np.array(data, dtype=float)
+    out = np.array(data, dtype=float)
+    if not np.isfinite(out).all():
+        r, c = np.argwhere(~np.isfinite(out))[0]
+        line = [i for i in range(start, len(rows)) if rows[i]][r] + 1
+        raise CsvFormatError(
+            f"{path}: line {line}, column {c + 1}: non-finite value "
+            f"{rows[line - 1][c]!r}"
+        )
+    return out
 
 
 def _parse_epsilon(raw: str, unsafe_no_privacy: bool) -> float:

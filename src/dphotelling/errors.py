@@ -10,7 +10,7 @@ class NumericalError(RuntimeError):
 
 
 class ConvergenceError(NumericalError):
-    """An iterative routine did not converge within its iteration budget."""
+    """An iterative routine did not converge or returned non-finite values."""
 
 
 class SingularMatrixError(NumericalError):

@@ -145,9 +145,9 @@ def laplace_mean_scale(n: int, m: float, d: int, eps_part: float) -> float:
 def compute_summary(data, m: float, clamp: bool = False) -> SampleSummary:
     """Sample mean and covariance (1/(n-1) normalization) of bounded rows.
 
-    Every entry must lie in [-m, m]; with ``clamp=True`` entries are clipped
-    into the cube *before* any statistic is formed, keeping the noise
-    calibration valid.
+    Every entry must be finite and lie in [-m, m]; with ``clamp=True``
+    finite entries are clipped into the cube *before* any statistic is
+    formed, keeping the noise calibration valid.
     """
     x = np.asarray(data, dtype=float)
     if x.ndim == 1:
@@ -159,9 +159,13 @@ def compute_summary(data, m: float, clamp: bool = False) -> SampleSummary:
         raise ValueError("need at least two observations")
     if not m > 0.0:
         raise ValueError("bound m must be positive")
+    amax = float(np.max(np.abs(x)))
+    if not math.isfinite(amax):
+        r, c = np.argwhere(~np.isfinite(x))[0]
+        raise ValueError(f"data entry [{r}, {c}] is not finite: {x[r, c]}")
     if clamp:
         x = np.clip(x, -m, m)
-    elif np.max(np.abs(x)) > m:
+    elif amax > m:
         raise BoundViolationError(
             f"data entry outside [-{m}, {m}]; pass clamp=True to clip"
         )
@@ -223,7 +227,7 @@ def ed_covariance(rng: randkit.RngStream, cov_hat, n: int, m: float,
     cov_hat = numlin.as_symmetric(cov_hat)
     d = cov_hat.shape[0]
     scaled = (n / (d * m * m)) * cov_hat
-    dec = numlin.jacobi_eigen(scaled)
+    dec = numlin.symmetric_eigen(scaled)
     lam_hat = dec.eigenvalues
     psd_tol = 1e-10 * max(1.0, float(np.linalg.norm(scaled)))
     if lam_hat[-1] < -psd_tol:

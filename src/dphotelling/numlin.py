@@ -2,14 +2,13 @@
 
 Everything here operates on small dense symmetric matrices (d up to a few
 hundred) represented as plain numpy arrays. All functions are pure and
-deterministic: the eigensolver is a cyclic Jacobi iteration with a fixed
-sweep order and a fixed eigenvector sign convention, so identical inputs
-give bit-identical outputs.
+deterministic: the eigensolver is LAPACK's symmetric driver behind a fixed
+eigenvalue order and eigenvector sign convention, so identical inputs give
+identical outputs under the same numpy/LAPACK build.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,9 +17,6 @@ from .errors import ConvergenceError, SingularMatrixError
 
 # Relative symmetry slack: |a_ij - a_ji| <= SYMMETRY_TOL * (1 + max|a|).
 SYMMETRY_TOL = 1e-12
-
-_JACOBI_TOL = 1e-12
-_JACOBI_MAX_SWEEPS = 100
 
 
 def as_symmetric(a, *, tol: float = SYMMETRY_TOL) -> np.ndarray:
@@ -54,94 +50,38 @@ class EigenDecomposition:
     eigenvectors: np.ndarray
 
 
-def _off_diagonal_norm(a: np.ndarray) -> float:
-    # Computed on a zero-diagonal copy: subtracting sum(diag^2) from
-    # sum(a^2) cancels catastrophically once the matrix is nearly diagonal.
-    off = a.copy()
-    np.fill_diagonal(off, 0.0)
-    return float(np.linalg.norm(off))
+def symmetric_eigen(a) -> EigenDecomposition:
+    """Eigendecomposition of a symmetric matrix by LAPACK (``np.linalg.eigh``).
 
-
-def jacobi_eigen(a, *, tol: float = _JACOBI_TOL,
-                 max_sweeps: int = _JACOBI_MAX_SWEEPS) -> EigenDecomposition:
-    """Eigendecomposition of a symmetric matrix by cyclic Jacobi rotations.
-
-    Sweeps run over (p, q) pairs in row-major order until the off-diagonal
-    Frobenius norm drops below ``tol * (1 + ||A||_F)``; the tolerance is
-    relative so large-norm inputs converge too. Raises ConvergenceError
-    (naming the residual) if ``max_sweeps`` is exhausted.
+    Eigenvalues are reordered descending by a stable sort, so tied
+    eigenvalues keep the order LAPACK returned them in, and each
+    eigenvector's first component of magnitude > 1e-12 is made positive.
+    A 1x1 input is returned directly. Raises ConvergenceError if LAPACK
+    fails or any output is non-finite (e.g. the input holds NaN or inf).
     """
-    a = as_symmetric(a).copy()
-    a = 0.5 * (a + a.T)
+    a = as_symmetric(a)
     d = a.shape[0]
-    v = np.eye(d)
-    scale = 1.0 + float(np.linalg.norm(a))
-    thresh = tol * scale
-    # Entries below this cannot push the off-norm back above thresh.
-    skip = thresh / max(1, d)
-
-    converged = d == 1
-    for _ in range(max_sweeps):
-        if _off_diagonal_norm(a) <= thresh:
-            converged = True
-            break
-        for p in range(d - 1):
-            for q in range(p + 1, d):
-                apq = a[p, q]
-                if abs(apq) <= skip:
-                    continue
-                diff = a[q, q] - a[p, p]
-                theta = diff / (2.0 * apq)
-                if theta == 0.0:
-                    t = 1.0
-                elif abs(theta) > 1e150:
-                    t = 0.5 / theta
-                else:
-                    t = math.copysign(1.0, theta) / (
-                        abs(theta) + math.sqrt(1.0 + theta * theta)
-                    )
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                # A <- J^T A J on columns p, q then rows p, q.
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                a[:, p] = c * col_p - s * col_q
-                a[:, q] = s * col_p + c * col_q
-                row_p = a[p, :].copy()
-                row_q = a[q, :].copy()
-                a[p, :] = c * row_p - s * row_q
-                a[q, :] = s * row_p + c * row_q
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                v_p = v[:, p].copy()
-                v_q = v[:, q].copy()
-                v[:, p] = c * v_p - s * v_q
-                v[:, q] = s * v_p + c * v_q
+    if d == 1:
+        w = a[0].copy()
+        v = np.ones((1, 1))
     else:
-        converged = _off_diagonal_norm(a) <= thresh
-
-    if not converged:
+        try:
+            w, v = np.linalg.eigh(a)
+        except np.linalg.LinAlgError as exc:
+            raise ConvergenceError(f"symmetric eigensolver failed: {exc}") from exc
+        order = np.argsort(-w, kind="stable")
+        w = w[order]
+        v = v[:, order]
+        lead = np.argmax(np.abs(v) > 1e-12, axis=0)
+        v[:, v[lead, np.arange(d)] < 0.0] *= -1.0
+    if not (np.isfinite(w).all() and np.isfinite(v).all()):
         raise ConvergenceError(
-            f"Jacobi iteration did not converge in {max_sweeps} sweeps; "
-            f"off-diagonal residual {_off_diagonal_norm(a):.3e}"
+            "symmetric eigensolver returned non-finite values; the input "
+            "has NaN or infinite entries or overflows"
         )
-
-    eigenvalues = np.diag(a).copy()
-    order = np.argsort(-eigenvalues, kind="stable")
-    eigenvalues = eigenvalues[order]
-    vectors = v[:, order]
-
-    # Sign convention: first component with magnitude > 1e-12 is positive.
-    for k in range(d):
-        col = vectors[:, k]
-        nz = np.nonzero(np.abs(col) > 1e-12)[0]
-        lead = nz[0] if nz.size else 0
-        if col[lead] < 0.0:
-            vectors[:, k] = -col
-
-    eigenvalues.setflags(write=False)
-    vectors.setflags(write=False)
-    return EigenDecomposition(eigenvalues=eigenvalues, eigenvectors=vectors)
+    w.setflags(write=False)
+    v.setflags(write=False)
+    return EigenDecomposition(eigenvalues=w, eigenvectors=v)
 
 
 def inverse_sqrt_psd(a, floor: float = 1e-12) -> np.ndarray:
@@ -154,7 +94,7 @@ def inverse_sqrt_psd(a, floor: float = 1e-12) -> np.ndarray:
     if floor < 0.0:
         raise ValueError("floor must be nonnegative")
     a = as_symmetric(a)
-    dec = jacobi_eigen(a)
+    dec = symmetric_eigen(a)
     w = dec.eigenvalues
     tol = 1e-10 * max(1.0, float(np.linalg.norm(a)))
     if w[-1] < -tol:
@@ -174,7 +114,7 @@ def inverse_sqrt_psd(a, floor: float = 1e-12) -> np.ndarray:
 def psd_sqrt(a) -> np.ndarray:
     """Symmetric PSD square root; negative round-off eigenvalues clamp to 0."""
     a = as_symmetric(a)
-    dec = jacobi_eigen(a)
+    dec = symmetric_eigen(a)
     w = np.maximum(dec.eigenvalues, 0.0)
     v = dec.eigenvectors
     out = (v * np.sqrt(w)) @ v.T
@@ -202,28 +142,31 @@ def orthonormal_complement(vectors) -> np.ndarray:
         if np.max(np.abs(gram - np.eye(k))) > 1e-8:
             raise ValueError("input vectors are not orthonormal to 1e-8")
 
-    rows = []
-    basis = v
+    # Rows are written into one preallocated buffer rather than regrowing
+    # the basis with every accepted candidate.
+    basis = np.empty((d, d))
+    basis[:k] = v
+    found = k
     for j in range(d):
-        if len(rows) == d - k:
+        if found == d:
             break
+        filled = basis[:found]
         cand = np.zeros(d)
         cand[j] = 1.0
         # Two projection passes for numerical orthogonality.
         for _ in range(2):
-            cand = cand - basis.T @ (basis @ cand)
+            cand = cand - filled.T @ (filled @ cand)
         norm = float(np.linalg.norm(cand))
         if norm <= 1e-8:
             continue
-        cand /= norm
-        rows.append(cand)
-        basis = np.vstack([basis, cand])
-    if len(rows) != d - k:
+        basis[found] = cand / norm
+        found += 1
+    if found != d:
         raise ConvergenceError(
-            f"could not complete orthonormal complement: found {len(rows)} "
+            f"could not complete orthonormal complement: found {found - k} "
             f"of {d - k} directions"
         )
-    return np.array(rows)
+    return basis[k:]
 
 
 def quadratic_form(x, a) -> float:

@@ -243,7 +243,7 @@ def sample_bingham_vector(rng: RngStream, c, eps_step: float) -> np.ndarray:
         raise ValueError(f"eps_step must be positive, got {eps_step}")
     c = numlin.as_symmetric(c)
     q = c.shape[0]
-    dec = numlin.jacobi_eigen(c)
+    dec = numlin.symmetric_eigen(c)
     mu = dec.eigenvalues  # descending
     spread = float(mu[0] - mu[-1])
     # Eigenvalues of A in the eigenbasis of C; the largest mu gives 0.

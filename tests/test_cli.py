@@ -49,6 +49,16 @@ class TestReadMatrixCsv:
         with pytest.raises(cli.CsvFormatError, match="non-numeric"):
             cli.read_matrix_csv(str(p))
 
+    def test_line_numbers_count_blank_lines(self, tmp_path):
+        p = tmp_path / "a.csv"
+        p.write_text("\nu,v\n1,2\n\n3,x\n")
+        with pytest.raises(cli.CsvFormatError, match="line 5: non-numeric"):
+            cli.read_matrix_csv(str(p))
+        p.write_text("1,2\n\n\n3,nan\n")
+        with pytest.raises(cli.CsvFormatError,
+                           match="line 4, column 2: non-finite value 'nan'"):
+            cli.read_matrix_csv(str(p))
+
     def test_empty_rejected(self, tmp_path):
         p = tmp_path / "a.csv"
         p.write_text("")
@@ -107,6 +117,18 @@ class TestCmdTest:
         y = write_csv(tmp_path / "y.csv", [[0.1, 0.2]])
         code = cli.main(["test", str(p), y, "--epsilon", "1", "--bound-m", "1"])
         assert code == 2
+
+    @pytest.mark.parametrize("field", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("clamp", [[], ["--clamp"]])
+    def test_non_finite_csv_exit_code(self, tmp_path, capsys, field, clamp):
+        p = tmp_path / "x.csv"
+        p.write_text(f"u,v\n0.1,0.2\n0.3,{field}\n0.5,0.6\n")
+        y = write_csv(tmp_path / "y.csv", [[0.1, 0.2], [0.3, 0.4]])
+        code = cli.main(["test", str(p), y, "--epsilon", "1", "--bound-m", "1",
+                         *clamp])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"line 3, column 2: non-finite value '{field}'" in err
 
     def test_numeric_failure_exit_code(self, h0_pair, monkeypatch, capsys):
         x, y = h0_pair

@@ -11,7 +11,7 @@ from dphotelling.hotelling import (CLASSICAL, PRIVATE_CORRECTED, REWEIGHTED,
 from dphotelling.mechanisms import (PRIVACY_OFF, PrivacyBudget,
                                     PrivatizedSummary, compute_summary,
                                     privatize_summaries)
-from dphotelling.numlin import jacobi_eigen
+from dphotelling.numlin import symmetric_eigen
 from dphotelling.randkit import RngStream
 from oracles import random_orthogonal, squared_two_sample_t
 
@@ -115,7 +115,7 @@ class TestPrivatePooledCovariance:
             ps = _ps(np.zeros(d), np.zeros(d), bx @ bx.T, by @ by.T,
                      20, 30, m=1.0, eps=float(gen.uniform(0.2, 2.0)))
             nc = noise_correction(1.0, d, 20, 30, ps.budget.epsilon_total)
-            w = jacobi_eigen(private_pooled_covariance(ps).matrix).eigenvalues
+            w = symmetric_eigen(private_pooled_covariance(ps).matrix).eigenvalues
             assert w[-1] >= nc.total - 1e-10
 
 

@@ -8,7 +8,7 @@ from dphotelling.mechanisms import (PRIVACY_OFF, PrivacyBudget, SampleSummary,
                                     compute_summary, ed_covariance,
                                     laplace_mean_scale, privatize_mean,
                                     privatize_summaries)
-from dphotelling.numlin import jacobi_eigen
+from dphotelling.numlin import symmetric_eigen
 from dphotelling.randkit import RngStream
 from oracles import folded_shift_laplace_cdf, ks_statistic_vec, laplace_cdf
 
@@ -56,7 +56,7 @@ class TestComputeSummary:
             n = int(gen.integers(2, 20))
             d = int(gen.integers(1, 5))
             s = compute_summary(gen.uniform(-1.0, 1.0, (n, d)), 1.0)
-            w = jacobi_eigen(s.cov).eigenvalues
+            w = symmetric_eigen(s.cov).eigenvalues
             assert w[-1] >= -1e-12
 
     def test_requires_two_rows(self):
@@ -66,6 +66,13 @@ class TestComputeSummary:
     def test_out_of_bounds_raises(self):
         with pytest.raises(BoundViolationError):
             compute_summary(np.array([[0.5], [1.5]]), 1.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("clamp", [False, True])
+    def test_non_finite_rejected(self, bad, clamp):
+        data = np.array([[0.1, 0.2], [0.3, bad], [0.5, 0.6]])
+        with pytest.raises(ValueError, match=r"\[1, 1\] is not finite"):
+            compute_summary(data, 1.0, clamp=clamp)
 
     def test_clamp_clips_before_summary(self):
         data = np.array([[2.0], [-2.0], [0.5]])
@@ -149,7 +156,7 @@ class TestEdCovariance:
                 n = int(gen.integers(2, 1000))
                 out = ed_covariance(RngStream(d, i), cov, n, 1.5, eps)
                 assert np.array_equal(out, out.T)
-                w = jacobi_eigen(out).eigenvalues
+                w = symmetric_eigen(out).eigenvalues
                 assert w[-1] >= -1e-12 * max(1.0, np.linalg.norm(out))
 
     def test_rejects_indefinite_input(self):

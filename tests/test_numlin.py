@@ -2,23 +2,30 @@ import numpy as np
 import pytest
 
 from dphotelling import numlin
-from dphotelling.errors import SingularMatrixError
+from dphotelling.errors import ConvergenceError, SingularMatrixError
 
 
 class TestJacobiEigen:
+    """Contract of ``numlin.symmetric_eigen``: order, sign, reconstruction.
+
+    The class name predates the LAPACK-backed solver and is kept so that
+    these test IDs stay comparable across solver changes; newer cases are
+    in TestSymmetricEigen.
+    """
+
     def test_identity(self):
-        dec = numlin.jacobi_eigen(np.eye(3))
+        dec = numlin.symmetric_eigen(np.eye(3))
         assert np.array_equal(dec.eigenvalues, np.ones(3))
         assert np.array_equal(dec.eigenvectors, np.eye(3))
 
     def test_already_diagonal(self):
-        dec = numlin.jacobi_eigen(np.diag([3.0, 1.0]))
+        dec = numlin.symmetric_eigen(np.diag([3.0, 1.0]))
         assert np.array_equal(dec.eigenvalues, [3.0, 1.0])
         assert np.array_equal(dec.eigenvectors, np.eye(2))
 
     def test_two_by_two_hand_case(self):
         # characteristic polynomial of [[2,1],[1,2]]: (2-l)^2 - 1 = 0
-        dec = numlin.jacobi_eigen([[2.0, 1.0], [1.0, 2.0]])
+        dec = numlin.symmetric_eigen([[2.0, 1.0], [1.0, 2.0]])
         assert dec.eigenvalues == pytest.approx([3.0, 1.0], abs=1e-12)
         s = 1.0 / np.sqrt(2.0)
         assert dec.eigenvectors[:, 0] == pytest.approx([s, s], abs=1e-12)
@@ -27,10 +34,10 @@ class TestJacobiEigen:
     def test_fuzzed_reconstruction_and_orthogonality(self):
         gen = np.random.default_rng(1234)
         for _ in range(1000):
-            d = int(gen.integers(1, 9))
+            d = int(gen.integers(1, 41))
             a = gen.uniform(-1.0, 1.0, (d, d))
             a = 0.5 * (a + a.T)
-            dec = numlin.jacobi_eigen(a)
+            dec = numlin.symmetric_eigen(a)
             recon = (dec.eigenvectors * dec.eigenvalues) @ dec.eigenvectors.T
             assert np.linalg.norm(recon - a) <= 1e-8
             gram = dec.eigenvectors.T @ dec.eigenvectors
@@ -43,7 +50,7 @@ class TestJacobiEigen:
             d = int(gen.integers(2, 9))
             a = gen.uniform(-5.0, 5.0, (d, d))
             a = 0.5 * (a + a.T)
-            w = numlin.jacobi_eigen(a).eigenvalues
+            w = numlin.symmetric_eigen(a).eigenvalues
             tol = 1e-10 * d * max(1.0, np.max(np.abs(w)))
             assert abs(np.trace(a) - np.sum(w)) <= tol
 
@@ -51,8 +58,8 @@ class TestJacobiEigen:
         gen = np.random.default_rng(5)
         a = gen.uniform(-1.0, 1.0, (6, 6))
         a = 0.5 * (a + a.T)
-        d1 = numlin.jacobi_eigen(a)
-        d2 = numlin.jacobi_eigen(a)
+        d1 = numlin.symmetric_eigen(a)
+        d2 = numlin.symmetric_eigen(a)
         assert d1.eigenvalues.tobytes() == d2.eigenvalues.tobytes()
         assert d1.eigenvectors.tobytes() == d2.eigenvectors.tobytes()
 
@@ -60,7 +67,7 @@ class TestJacobiEigen:
         gen = np.random.default_rng(8)
         a = gen.uniform(-1.0, 1.0, (5, 5))
         a = 0.5 * (a + a.T)
-        vecs = numlin.jacobi_eigen(a).eigenvectors
+        vecs = numlin.symmetric_eigen(a).eigenvectors
         for k in range(5):
             col = vecs[:, k]
             lead = np.nonzero(np.abs(col) > 1e-12)[0][0]
@@ -68,11 +75,69 @@ class TestJacobiEigen:
 
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError, match="symmetric"):
-            numlin.jacobi_eigen([[1.0, 2.0], [0.0, 1.0]])
+            numlin.symmetric_eigen([[1.0, 2.0], [0.0, 1.0]])
 
     def test_rejects_nonsquare(self):
         with pytest.raises(ValueError):
-            numlin.jacobi_eigen(np.ones((2, 3)))
+            numlin.symmetric_eigen(np.ones((2, 3)))
+
+
+class TestSymmetricEigen:
+    def test_ties_keep_index_order(self):
+        dec = numlin.symmetric_eigen(np.diag([1.0, 3.0, 1.0, 3.0]))
+        assert np.array_equal(dec.eigenvalues, [3.0, 3.0, 1.0, 1.0])
+        assert np.array_equal(dec.eigenvectors, np.eye(4)[:, [1, 3, 0, 2]])
+
+    def test_repeated_eigenvalue_reconstruction(self):
+        gen = np.random.default_rng(21)
+        q, _ = np.linalg.qr(gen.standard_normal((6, 6)))
+        a = (q * [2.0, 2.0, 2.0, -1.0, 0.5, 0.5]) @ q.T
+        a = 0.5 * (a + a.T)
+        dec = numlin.symmetric_eigen(a)
+        recon = (dec.eigenvectors * dec.eigenvalues) @ dec.eigenvectors.T
+        assert np.linalg.norm(recon - a) <= 1e-10
+        assert dec.eigenvalues == pytest.approx(
+            [2.0, 2.0, 2.0, 0.5, 0.5, -1.0], abs=1e-12)
+
+    def test_one_by_one(self):
+        dec = numlin.symmetric_eigen([[-2.5]])
+        assert np.array_equal(dec.eigenvalues, [-2.5])
+        assert np.array_equal(dec.eigenvectors, [[1.0]])
+
+    def test_large_norm(self):
+        gen = np.random.default_rng(13)
+        a = gen.uniform(-1.0, 1.0, (12, 12))
+        a = 1e8 * 0.5 * (a + a.T)
+        dec = numlin.symmetric_eigen(a)
+        recon = (dec.eigenvectors * dec.eigenvalues) @ dec.eigenvectors.T
+        assert np.linalg.norm(recon - a) <= 1e-12 * np.linalg.norm(a)
+        gram = dec.eigenvectors.T @ dec.eigenvectors
+        assert np.linalg.norm(gram - np.eye(12)) <= 1e-12
+
+    def test_outputs_read_only(self):
+        for a in (np.eye(3), [[4.0]]):
+            dec = numlin.symmetric_eigen(a)
+            assert not dec.eigenvalues.flags.writeable
+            assert not dec.eigenvectors.flags.writeable
+
+    @pytest.mark.parametrize("a", [
+        [[np.nan, 0.0], [0.0, 1.0]],
+        [[np.nan, 1.0], [1.0, 1.0]],
+        [[np.inf, 0.0], [0.0, 1.0]],
+        [[np.nan]],
+    ], ids=["nan-eigenvalue", "nan-eigenvectors", "inf", "nan-1x1"])
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_non_finite_input_raises_convergence_error(self, a):
+        with pytest.raises(ConvergenceError, match="non-finite"):
+            numlin.symmetric_eigen(a)
+
+    def test_lapack_failure_raises_convergence_error(self, monkeypatch):
+        def fail(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        with pytest.raises(ConvergenceError, match="did not converge"):
+            numlin.symmetric_eigen(np.eye(2))
 
 
 class TestInverseSqrtPsd:
@@ -157,6 +222,35 @@ class TestOrthonormalComplement:
             assert out.shape == (d - k, d)
             assert np.max(np.abs(out @ v.T)) <= 1e-8
             assert np.linalg.norm(out @ out.T - np.eye(d - k)) <= 1e-8
+
+    def test_matches_vstack_gram_schmidt(self):
+        def reference(v):
+            # Gram-Schmidt over e_1..e_d with the basis grown by vstack.
+            k, d = v.shape
+            rows, basis = [], v
+            for j in range(d):
+                if len(rows) == d - k:
+                    break
+                cand = np.zeros(d)
+                cand[j] = 1.0
+                for _ in range(2):
+                    cand = cand - basis.T @ (basis @ cand)
+                norm = float(np.linalg.norm(cand))
+                if norm <= 1e-8:
+                    continue
+                rows.append(cand / norm)
+                basis = np.vstack([basis, rows[-1]])
+            return np.array(rows)
+
+        gen = np.random.default_rng(17)
+        for _ in range(200):
+            d = int(gen.integers(2, 31))
+            k = int(gen.integers(0, d))
+            q, _ = np.linalg.qr(gen.standard_normal((d, d)))
+            v = q[:, :k].T
+            out = numlin.orthonormal_complement(v)
+            assert out.shape == (d - k, d)
+            assert np.max(np.abs(out - reference(v))) <= 1e-12
 
     def test_full_basis_rejected(self):
         with pytest.raises(ValueError, match="empty"):

@@ -13,9 +13,11 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import math
 import sys
+from typing import NoReturn
 
 import numpy as np
 
@@ -41,54 +43,93 @@ def read_matrix_csv(path) -> np.ndarray:
     """Parse a CSV file of one observation per row into an n-by-d array.
 
     Comma separated, '.' decimal, optional single header row (detected by a
-    non-numeric first row). NaN and infinite fields are rejected.
+    first non-blank row with a field that ``float()`` rejects). Blank lines
+    are skipped, a UTF-8 byte-order mark is ignored, fields may be quoted
+    and may carry surrounding whitespace. ``#`` does not start a comment.
+    NaN and infinite fields are rejected, as are numbers that ``float()``
+    reads but numpy's parser does not, such as ``1_000``. Faults raise
+    ``CsvFormatError`` naming the line (blank lines counted) and, for a
+    non-finite value, the column and the field.
     """
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            rows = list(csv.reader(fh))
+        with open(path, encoding="utf-8-sig") as fh:
+            # Lines read ahead to find the header; loadtxt re-reads the ones
+            # after it, so that it parses every data row itself.
+            ahead = []
+
+            def tapped():
+                for line in fh:
+                    ahead.append(line)
+                    yield line
+
+            records = (row for row in csv.reader(tapped()) if row)
+            first = next(records, None)
+            if first is not None and not _is_numeric(first):
+                ahead.clear()
+                first = next(records, None)
+            if first is None:
+                _raise_csv_fault(path, "no data rows")
+            try:
+                out = np.loadtxt(
+                    itertools.chain(ahead, fh), delimiter=",", quotechar='"',
+                    comments=None, dtype=float, ndmin=2,
+                )
+            except ValueError as exc:
+                _raise_csv_fault(path, str(exc))
+        if not np.isfinite(out).all():
+            _raise_csv_fault(path, "non-finite value")
     except OSError as exc:
         raise CsvFormatError(f"{path}: cannot read ({exc})") from exc
-    # Blank rows are skipped but kept in ``rows``, so that index + 1 is the
-    # line number reported in messages.
-    first = next((i for i, row in enumerate(rows) if row), None)
-    if first is None:
-        raise CsvFormatError(f"{path}: file is empty")
+    return out
 
-    def parse_row(row):
-        return [float(f) for f in row]
 
-    start = first
+def _is_numeric(row) -> bool:
     try:
-        parse_row(rows[first])
+        for field in row:
+            float(field)
     except ValueError:
-        start = first + 1  # header row
-    data = []
-    width = None
-    for i, row in enumerate(rows[start:], start=start + 1):
-        if not row:
-            continue
+        return False
+    return True
+
+
+def _raise_csv_fault(path, detail: str) -> NoReturn:
+    """Name the first fault of a CSV file that the fast parse rejected.
+
+    Re-reads the file record by record with ``csv.reader`` and ``float()``.
+    Structural faults (no rows, a non-numeric field, a ragged row) take
+    precedence over the first non-finite value; ``detail`` is the message
+    when none is found, as for ``1_0``, which ``float()`` accepts and
+    loadtxt rejects. Always raises ``CsvFormatError``.
+    """
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        # Blank records are skipped but counted, so that line numbers in
+        # messages include blank lines.
+        records = [(i, row) for i, row in enumerate(csv.reader(fh), start=1)
+                   if row]
+    if not records:
+        raise CsvFormatError(f"{path}: file is empty")
+    if not _is_numeric(records[0][1]):
+        records = records[1:]  # header row
+    if not records:
+        raise CsvFormatError(f"{path}: no data rows")
+    width = len(records[0][1])
+    non_finite = None
+    for i, row in records:
         try:
-            vals = parse_row(row)
+            vals = [float(f) for f in row]
         except ValueError as exc:
             raise CsvFormatError(f"{path}: line {i}: non-numeric field") from exc
-        if width is None:
-            width = len(vals)
-        elif len(vals) != width:
+        if len(vals) != width:
             raise CsvFormatError(
                 f"{path}: line {i}: expected {width} columns, got {len(vals)}"
             )
-        data.append(vals)
-    if not data:
-        raise CsvFormatError(f"{path}: no data rows")
-    out = np.array(data, dtype=float)
-    if not np.isfinite(out).all():
-        r, c = np.argwhere(~np.isfinite(out))[0]
-        line = [i for i in range(start, len(rows)) if rows[i]][r] + 1
-        raise CsvFormatError(
-            f"{path}: line {line}, column {c + 1}: non-finite value "
-            f"{rows[line - 1][c]!r}"
-        )
-    return out
+        if non_finite is None:
+            c = next((c for c, v in enumerate(vals) if not math.isfinite(v)),
+                     None)
+            if c is not None:
+                non_finite = (f"line {i}, column {c + 1}: non-finite value "
+                              f"{row[c]!r}")
+    raise CsvFormatError(f"{path}: {non_finite or detail}")
 
 
 def _parse_epsilon(raw: str, unsafe_no_privacy: bool) -> float:
@@ -310,10 +351,10 @@ def main(argv=None) -> int:
     except BoundViolationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BOUNDS
-    except NumericalError as exc:
+    except (NumericalError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (ValueError, ArithmeticError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -17,7 +17,7 @@ import math
 import numpy as np
 
 from . import numlin
-from .errors import SamplerStallError
+from .errors import ConvergenceError, NumericalError, SamplerStallError
 
 
 class RngStream:
@@ -110,7 +110,7 @@ def _reg_lower_gamma(a: float, x: float) -> float:
             total += term
             if abs(term) < abs(total) * _GAMMA_EPS:
                 return total * math.exp(-x + a * math.log(x) - lg)
-        raise ArithmeticError("incomplete gamma series did not converge")
+        raise ConvergenceError("incomplete gamma series did not converge")
     # Continued fraction for Q(a, x) = 1 - P(a, x).
     tiny = 1e-300
     b = x + 1.0 - a
@@ -132,7 +132,7 @@ def _reg_lower_gamma(a: float, x: float) -> float:
         if abs(delta - 1.0) < _GAMMA_EPS:
             q = math.exp(-x + a * math.log(x) - lg) * h
             return 1.0 - q
-    raise ArithmeticError("incomplete gamma continued fraction did not converge")
+    raise ConvergenceError("incomplete gamma continued fraction did not converge")
 
 
 def _check_dof(dof: int) -> int:
@@ -162,7 +162,7 @@ def chi2_quantile(prob: float, dof: int) -> float:
     lo = 0.0
     hi = d + 40.0 * math.sqrt(d) + 40.0
     if chi2_cdf(hi, d) < prob:
-        raise ArithmeticError(f"quantile bracket too small for prob={prob}")
+        raise NumericalError(f"quantile bracket too small for prob={prob}")
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if chi2_cdf(mid, d) < prob:
@@ -220,7 +220,7 @@ def solve_b(lambdas) -> float:
     b = 0.5 * (lo + hi)
     residual = abs(f(b))
     if residual > 1e-8:
-        raise ArithmeticError(f"b-equation residual {residual:.3e} > 1e-8")
+        raise ConvergenceError(f"b-equation residual {residual:.3e} > 1e-8")
     return b
 
 

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .decision import ASYMPTOTIC, BOOTSTRAP, TestConfig, run_test
+from .errors import BoundViolationError
 from .randkit import RngStream
 
 UNIFORM_CUBE = "uniform_cube"
@@ -110,8 +111,8 @@ def generate(rng: RngStream, spec: DesignSpec, n1: int, n2: int):
             x = x @ t  # t symmetric: rows transform like t @ row
             y = y @ t
     m = spec.bound_m
-    assert np.max(np.abs(x)) <= m and np.max(np.abs(y)) <= m, \
-        "generated data left the declared bound"
+    if not (np.max(np.abs(x)) <= m and np.max(np.abs(y)) <= m):
+        raise BoundViolationError("generated data left the declared bound")
     return x, y
 
 

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import subprocess
@@ -6,10 +7,91 @@ import sys
 import numpy as np
 import pytest
 
-from dphotelling import cli
+from dphotelling import cli, randkit
 from dphotelling.errors import NumericalError
 from dphotelling.randkit import chi2_quantile
 from dphotelling.simbench import read_table_csv
+
+
+def reference_read_matrix_csv(path):
+    """The csv.reader + float() reader that read_matrix_csv must match."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        rows = list(csv.reader(fh))
+    first = next((i for i, row in enumerate(rows) if row), None)
+    if first is None:
+        raise cli.CsvFormatError(f"{path}: file is empty")
+    start = first
+    try:
+        [float(f) for f in rows[first]]
+    except ValueError:
+        start = first + 1
+    data = []
+    for i, row in enumerate(rows[start:], start=start + 1):
+        if not row:
+            continue
+        try:
+            vals = [float(f) for f in row]
+        except ValueError:
+            raise cli.CsvFormatError(f"{path}: line {i}: non-numeric field")
+        if data and len(vals) != len(data[0]):
+            raise cli.CsvFormatError(
+                f"{path}: line {i}: expected {len(data[0])} columns, "
+                f"got {len(vals)}")
+        data.append(vals)
+    if not data:
+        raise cli.CsvFormatError(f"{path}: no data rows")
+    out = np.array(data, dtype=float)
+    if not np.isfinite(out).all():
+        r, c = np.argwhere(~np.isfinite(out))[0]
+        line = [i for i in range(start, len(rows)) if rows[i]][r] + 1
+        raise cli.CsvFormatError(
+            f"{path}: line {line}, column {c + 1}: non-finite value "
+            f"{rows[line - 1][c]!r}")
+    return out
+
+
+def read_both(path):
+    """(array or error message) from read_matrix_csv and from the reference."""
+    results = []
+    for reader in (cli.read_matrix_csv, reference_read_matrix_csv):
+        try:
+            results.append(reader(path))
+        except cli.CsvFormatError as exc:
+            results.append(str(exc))
+    return results
+
+
+def assert_same_bytes(a, b):
+    assert isinstance(a, np.ndarray) and isinstance(b, np.ndarray)
+    assert a.dtype == b.dtype and a.shape == b.shape
+    assert a.tobytes() == b.tobytes()
+
+
+_NUMBER_FORMATS = {
+    "repr": repr,
+    "%.17g": lambda v: "%.17g" % v,
+    "%.6e": lambda v: "%.6e" % v,
+    "integer": lambda v: str(round(v * 1000)),
+    "negative_zero": lambda v: "-0.0" if v < 0 else repr(v),
+}
+
+
+def _lines(rows, end="\n"):
+    return "".join(",".join(row) + end for row in rows)
+
+
+_LAYOUTS = {
+    "plain": _lines,
+    "header": lambda rows: "u,v,w\n" + _lines(rows),
+    "blank_start": lambda rows: "\n\n" + _lines(rows),
+    "blank_middle": lambda rows: _lines(rows[:3]) + "\n\n" + _lines(rows[3:]),
+    "blank_end": lambda rows: _lines(rows) + "\n\n",
+    "crlf": lambda rows: "u,v,w\r\n\r\n" + _lines(rows, "\r\n"),
+    "quoted": lambda rows: _lines([[f'"{f}"' for f in row] for row in rows]),
+    "spaces": lambda rows: _lines([[f" {f}\t" for f in row] for row in rows]),
+    "single_row": lambda rows: _lines(rows[:1]),
+    "single_column": lambda rows: _lines([row[:1] for row in rows]),
+}
 
 
 def write_csv(path, array, header=None):
@@ -57,6 +139,78 @@ class TestReadMatrixCsv:
         p.write_text("1,2\n\n\n3,nan\n")
         with pytest.raises(cli.CsvFormatError,
                            match="line 4, column 2: non-finite value 'nan'"):
+            cli.read_matrix_csv(str(p))
+
+    @pytest.mark.parametrize("layout", sorted(_LAYOUTS))
+    @pytest.mark.parametrize("fmt", sorted(_NUMBER_FORMATS))
+    def test_matches_reference_reader(self, tmp_path, fmt, layout):
+        gen = np.random.default_rng([sorted(_NUMBER_FORMATS).index(fmt),
+                                     sorted(_LAYOUTS).index(layout)])
+        for trial in range(5):
+            values = gen.uniform(-10.0, 10.0, (8, 3)) * 10.0 ** gen.integers(
+                -5, 6, (8, 3))
+            rows = [[_NUMBER_FORMATS[fmt](float(v)) for v in row]
+                    for row in values]
+            p = tmp_path / f"{trial}.csv"
+            p.write_bytes(_LAYOUTS[layout](rows).encode("utf-8"))
+            assert_same_bytes(*read_both(str(p)))
+
+    @pytest.mark.parametrize("text", [
+        " \n", "1,,2\n", "1,2,\n", '"",3\n', ' "1",2\n', '"1" ,2\n',
+        "1;2\n", "1,2 #c\n", "#c\n1,2\n", "1d5,2\n", "0x1p3,1\n",
+        "nan(1),2\n", "1,2\n \n3,4\n", "1,2\r3,4\r", "u,v\n1,2\nx,3\n",
+        "1,2\n3\n", "1,2\n3,4,5\n", "u\nv\n1\n", "1e999,1\n",
+        "NaN,1\n", "1,-Infinity\n", "\n\nu,v\n\n1,2\n\n3,nan\n",
+        "1,2\n\n3,nan\n4,inf\n", "\x0c1,2\u2003\n", "1\x00,2\n",
+    ])
+    def test_matches_reference_on_edge_cases(self, tmp_path, text):
+        p = tmp_path / "a.csv"
+        p.write_bytes(text.encode("utf-8"))
+        new, ref = read_both(str(p))
+        if isinstance(ref, str):
+            assert new == ref
+        else:
+            assert_same_bytes(new, ref)
+
+    def test_byte_order_mark_keeps_first_row(self, tmp_path):
+        p = tmp_path / "a.csv"
+        p.write_bytes(b"\xef\xbb\xbf1,2\n3,4\n5,6\n")
+        assert np.array_equal(cli.read_matrix_csv(str(p)),
+                              [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
+
+    def test_byte_order_mark_before_header(self, tmp_path):
+        p = tmp_path / "a.csv"
+        p.write_bytes(b"\xef\xbb\xbfu,v\n1,2\n3,4\n")
+        assert np.array_equal(cli.read_matrix_csv(str(p)),
+                              [[1.0, 2.0], [3.0, 4.0]])
+
+    @pytest.mark.parametrize("field", ["1_0", "\u0661"])
+    def test_float_only_syntax_rejected(self, tmp_path, field):
+        # float() reads these; numpy's parser does not, and neither may we.
+        p = tmp_path / "a.csv"
+        p.write_text(f"u,v\n1,2\n3,{field}\n", encoding="utf-8")
+        with pytest.raises(cli.CsvFormatError, match=field):
+            cli.read_matrix_csv(str(p))
+
+    def test_header_only_rejected(self, tmp_path, recwarn):
+        p = tmp_path / "a.csv"
+        p.write_text("u,v\n\n")
+        with pytest.raises(cli.CsvFormatError, match="no data rows"):
+            cli.read_matrix_csv(str(p))
+        assert not recwarn.list
+
+    def test_blank_only_rejected(self, tmp_path, recwarn):
+        p = tmp_path / "a.csv"
+        p.write_text("\n\r\n\n")
+        with pytest.raises(cli.CsvFormatError, match="file is empty"):
+            cli.read_matrix_csv(str(p))
+        assert not recwarn.list
+
+    def test_ragged_line_reported_before_later_nan(self, tmp_path):
+        p = tmp_path / "a.csv"
+        p.write_text("1,2\nnan,3\n4\n5,nan\n")
+        with pytest.raises(cli.CsvFormatError,
+                           match="line 3: expected 2 columns, got 1"):
             cli.read_matrix_csv(str(p))
 
     def test_empty_rejected(self, tmp_path):
@@ -139,6 +293,51 @@ class TestCmdTest:
         monkeypatch.setattr(cli, "run_test", boom)
         code = cli.main(["test", x, y, "--epsilon", "1", "--bound-m", "1"])
         assert code == 4
+
+    def test_chi2_non_convergence_exit_code(self, h0_pair, monkeypatch, capsys):
+        x, y = h0_pair
+        monkeypatch.setattr(randkit, "_GAMMA_MAX_ITER", 1)
+        cli.asymptotic_threshold.cache_clear()  # d = 2 may be cached already
+        code = cli.main(["test", x, y, "--epsilon", "1", "--bound-m", "1",
+                         "--mode", "asymptotic"])
+        assert code == 4
+        assert "did not converge" in capsys.readouterr().err
+
+    def test_arithmetic_error_exit_code(self, h0_pair, monkeypatch, capsys):
+        x, y = h0_pair
+
+        def overflow(*args, **kwargs):
+            raise OverflowError("synthetic overflow")
+
+        monkeypatch.setattr(cli, "run_test", overflow)
+        code = cli.main(["test", x, y, "--epsilon", "1", "--bound-m", "1"])
+        assert code == 4
+        assert "synthetic overflow" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode", ["bootstrap", "asymptotic"])
+    @pytest.mark.parametrize("case, x_text, y_shape, expected", [
+        ("empty", "", (5, 2), 2),
+        ("blank_only", "\n\n", (5, 2), 2),
+        ("header_only", "u,v\n", (5, 2), 2),
+        ("n1", "0.1,0.2\n", (5, 2), 2),
+        ("n2", "0.1,0.2\n-0.3,0.4\n", (2, 2), 0),
+        ("constant_column", "0.1,0.5\n-0.3,0.5\n0.2,0.5\n", (5, 2), 0),
+        ("all_constant", "0.5,0.5\n0.5,0.5\n0.5,0.5\n", None, 0),
+        ("d_greater_than_n", "0.1,0.2,-0.3,0.4\n0.5,-0.6,0.7,0.8\n"
+                             "-0.9,0.1,0.2,0.3\n", (3, 4), 0),
+    ])
+    def test_exit_code_table(self, tmp_path, capsys, mode, case, x_text,
+                             y_shape, expected):
+        x = tmp_path / "x.csv"
+        x.write_text(x_text)
+        y = tmp_path / "y.csv"
+        if y_shape is None:  # the same data in both samples
+            y.write_text(x_text)
+        else:
+            write_csv(y, np.random.default_rng(0).uniform(-1, 1, y_shape))
+        code = cli.main(["test", str(x), str(y), "--epsilon", "1",
+                         "--bound-m", "1", "--mode", mode])
+        assert code == expected, capsys.readouterr().err
 
     def test_json_schema(self, h0_pair, capsys):
         x, y = h0_pair

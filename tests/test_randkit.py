@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dphotelling import randkit
-from dphotelling.errors import SamplerStallError
+from dphotelling.errors import ConvergenceError, SamplerStallError
 from dphotelling.randkit import (RngStream, chi2_cdf, chi2_quantile,
                                  sample_bingham_vector, sample_laplace,
                                  sample_mvn, sample_std_normal, solve_b)
@@ -130,6 +130,12 @@ class TestChi2:
             chi2_cdf(1.0, 0)
         with pytest.raises(ValueError):
             chi2_cdf(-1.0, 2)
+
+    def test_non_convergence_raises_convergence_error(self, monkeypatch):
+        monkeypatch.setattr(randkit, "_GAMMA_MAX_ITER", 1)
+        with pytest.raises(ConvergenceError,
+                           match="incomplete gamma series did not converge"):
+            chi2_cdf(3.0, 10)
 
 
 class TestSolveB:

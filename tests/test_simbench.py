@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from dphotelling.decision import ASYMPTOTIC, BOOTSTRAP
+from dphotelling.errors import BoundViolationError
 from dphotelling.randkit import RngStream
 from dphotelling.simbench import (CellSpec, DesignSpec, example32_cells,
                                   generate, power_cells, power_curve,
@@ -77,6 +78,14 @@ class TestGenerate:
             x, y = generate(RngStream(5, i), spec, 5000, 5000)
             assert np.max(np.abs(x)) <= spec.bound_m
             assert np.max(np.abs(y)) <= spec.bound_m
+
+    def test_leaving_the_bound_raises(self):
+        # A negative off-diagonal breaks the bound formula, which assumes
+        # nonnegative Toeplitz entries; the check must hold under python -O.
+        spec = DesignSpec("toeplitz", 3, toeplitz_off=-1.0 / 3.0)
+        with pytest.raises(BoundViolationError,
+                           match="generated data left the declared bound"):
+            generate(RngStream(5), spec, 5000, 5000)
 
     def test_truncated_gaussian_variance_matches_quadrature(self):
         dens = lambda t: np.exp(-2.0 * t * t)

@@ -16,6 +16,7 @@ import csv
 import itertools
 import json
 import math
+import re
 import sys
 from typing import NoReturn
 
@@ -47,9 +48,10 @@ def read_matrix_csv(path) -> np.ndarray:
     are skipped, a UTF-8 byte-order mark is ignored, fields may be quoted
     and may carry surrounding whitespace. ``#`` does not start a comment.
     NaN and infinite fields are rejected, as are numbers that ``float()``
-    reads but numpy's parser does not, such as ``1_000``. Faults raise
-    ``CsvFormatError`` naming the line (blank lines counted) and, for a
-    non-finite value, the column and the field.
+    reads but numpy's parser does not, such as ``1_000``. Faults, bytes
+    that are not UTF-8 included, raise ``CsvFormatError`` naming the line
+    (blank lines counted) and, for a non-finite value or a number numpy does
+    not read, the column and the field.
     """
     try:
         with open(path, encoding="utf-8-sig") as fh:
@@ -78,9 +80,28 @@ def read_matrix_csv(path) -> np.ndarray:
                 _raise_csv_fault(path, str(exc))
         if not np.isfinite(out).all():
             _raise_csv_fault(path, "non-finite value")
+    except UnicodeDecodeError as exc:
+        raise CsvFormatError(
+            f"{path}: line {_undecodable_line(path)}: not UTF-8 text "
+            f"({exc.reason})"
+        ) from exc
     except OSError as exc:
         raise CsvFormatError(f"{path}: cannot read ({exc})") from exc
     return out
+
+
+def _undecodable_line(path) -> int:
+    """Number of the first line of a file that is not valid UTF-8.
+
+    A UTF-8 sequence never contains a newline byte, so the line of the
+    first bad byte decodes badly on its own.
+    """
+    with open(path, "rb") as fh:
+        for i, raw in enumerate(fh, start=1):
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError:
+                return i
 
 
 def _is_numeric(row) -> bool:
@@ -97,9 +118,10 @@ def _raise_csv_fault(path, detail: str) -> NoReturn:
 
     Re-reads the file record by record with ``csv.reader`` and ``float()``.
     Structural faults (no rows, a non-numeric field, a ragged row) take
-    precedence over the first non-finite value; ``detail`` is the message
-    when none is found, as for ``1_0``, which ``float()`` accepts and
-    loadtxt rejects. Always raises ``CsvFormatError``.
+    precedence over the first non-finite value. When there is none, as for
+    ``1_0``, which ``float()`` accepts and loadtxt rejects, loadtxt's own
+    message ``detail`` locates the field: its row counts the non-blank data
+    rows from 0. Always raises ``CsvFormatError``.
     """
     with open(path, newline="", encoding="utf-8-sig") as fh:
         # Blank records are skipped but counted, so that line numbers in
@@ -129,6 +151,14 @@ def _raise_csv_fault(path, detail: str) -> NoReturn:
             if c is not None:
                 non_finite = (f"line {i}, column {c + 1}: non-finite value "
                               f"{row[c]!r}")
+    if non_finite is None:
+        at = re.search(r"at row (\d+), column (\d+)", detail)
+        if at and int(at[1]) < len(records):
+            i, row = records[int(at[1])]
+            c = int(at[2])
+            if c <= len(row):
+                non_finite = (f"line {i}, column {c}: unsupported number "
+                              f"syntax {row[c - 1]!r}")
     raise CsvFormatError(f"{path}: {non_finite or detail}")
 
 

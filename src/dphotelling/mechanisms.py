@@ -27,6 +27,9 @@ PRIVACY_OFF = math.inf
 # Round-off slack when checking means against the declared cube bound.
 _BOUND_SLACK = 1e-12
 
+# Rows per block of the covariance sum in compute_summary.
+_ROW_BLOCK = 8192
+
 
 def _check_eps(eps: float, name: str = "epsilon") -> float:
     eps = float(eps)
@@ -80,7 +83,10 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SampleSummary:
-    """Per-group sufficient statistics: size, mean, covariance, cube bound."""
+    """Per-group sufficient statistics: size, mean, covariance, cube bound.
+
+    The mean and the covariance must be finite; the covariance symmetric.
+    """
 
     n: int
     mean: np.ndarray
@@ -94,10 +100,15 @@ class SampleSummary:
             raise ValueError("bound_m must be positive")
         mean = _frozen(np.asarray(self.mean, dtype=float).reshape(-1))
         cov = _frozen(numlin.as_symmetric(self.cov))
+        if not np.isfinite(cov).all():
+            raise ValueError("cov has a non-finite entry")
         if cov.shape[0] != mean.shape[0]:
             raise ValueError("mean and covariance dimensions disagree")
+        peak = float(np.max(np.abs(mean)))
+        if not math.isfinite(peak):
+            raise ValueError("mean has a non-finite entry")
         slack = _BOUND_SLACK * (1.0 + self.bound_m)
-        if np.max(np.abs(mean)) > self.bound_m + slack:
+        if peak > self.bound_m + slack:
             raise BoundViolationError(
                 f"mean coordinate outside [-{self.bound_m}, {self.bound_m}]"
             )
@@ -111,7 +122,10 @@ class SampleSummary:
 
 @dataclass(frozen=True)
 class PrivatizedSummary:
-    """The four private releases plus the public metadata that scaled them."""
+    """The four private releases plus the public metadata that scaled them.
+
+    Every released entry must be finite; the covariances symmetric.
+    """
 
     mean_x_dp: np.ndarray
     mean_y_dp: np.ndarray
@@ -127,6 +141,9 @@ class PrivatizedSummary:
         object.__setattr__(self, "mean_y_dp", _frozen(np.asarray(self.mean_y_dp).reshape(-1)))
         object.__setattr__(self, "cov_x_dp", _frozen(numlin.as_symmetric(self.cov_x_dp)))
         object.__setattr__(self, "cov_y_dp", _frozen(numlin.as_symmetric(self.cov_y_dp)))
+        for name in ("mean_x_dp", "mean_y_dp", "cov_x_dp", "cov_y_dp"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValueError(f"{name} has a non-finite entry")
 
     @property
     def dim(self) -> int:
@@ -159,19 +176,23 @@ def compute_summary(data, m: float, clamp: bool = False) -> SampleSummary:
         raise ValueError("need at least two observations")
     if not m > 0.0:
         raise ValueError("bound m must be positive")
-    amax = float(np.max(np.abs(x)))
-    if not math.isfinite(amax):
+    lo, hi = float(x.min()), float(x.max())
+    if not (math.isfinite(lo) and math.isfinite(hi)):
         r, c = np.argwhere(~np.isfinite(x))[0]
         raise ValueError(f"data entry [{r}, {c}] is not finite: {x[r, c]}")
     if clamp:
         x = np.clip(x, -m, m)
-    elif amax > m:
+    elif max(-lo, hi) > m:
         raise BoundViolationError(
             f"data entry outside [-{m}, {m}]; pass clamp=True to clip"
         )
     mean = x.mean(axis=0)
-    centered = x - mean
-    cov = (centered.T @ centered) / (n - 1)
+    # Row blocks keep the centered copy small; one block when n <= _ROW_BLOCK.
+    cov = np.zeros((d, d))
+    for start in range(0, n, _ROW_BLOCK):
+        centered = x[start:start + _ROW_BLOCK] - mean
+        cov += centered.T @ centered
+    cov /= n - 1
     cov = 0.5 * (cov + cov.T)
     return SampleSummary(n=n, mean=mean, cov=cov, bound_m=float(m))
 
@@ -209,11 +230,21 @@ def ed_covariance(rng: randkit.RngStream, cov_hat, n: int, m: float,
     noise of scale 2 / eps_step and is folded by absolute value; an
     orthonormal eigenbasis is rebuilt one direction at a time by sampling
     from the exponential-mechanism density exp((eps_step/4) u^T C u) on the
-    sphere of the remaining subspace. Here eps_step = eps_part / (d + 1),
-    except in one dimension where the whole budget goes to the single
-    eigenvalue and no direction needs sampling. The reconstruction
-    sum_i lam_i v_i v_i^T is unscaled by d m^2 / n, so the release estimates
-    cov_hat itself.
+    sphere of the remaining subspace (Amin et al. 2019). Here
+    eps_step = eps_part / (d + 1), except in one dimension where the whole
+    budget goes to the single eigenvalue and no direction needs sampling.
+    The reconstruction sum_i lam_i v_i v_i^T is unscaled by d m^2 / n, so
+    the release estimates cov_hat itself.
+
+    The remaining subspace is held as an orthonormal basis P (q rows) and
+    the sampler sees P C P^T. After a draw u the released direction is
+    P^T u, and one Householder reflection that maps u onto the first axis
+    deflates P to its last q - 1 rows. The density of the released
+    direction on the unit sphere of the subspace depends on the subspace
+    only, not on the basis that represents it, so the basis choice changes
+    which draw maps to which direction but neither the distribution of the
+    release nor the budget it spends. ``cov_hat`` is validated once; the
+    eigendecompositions of C and of each step skip the symmetry check.
 
     Always returns a symmetric PSD matrix. Under the privacy-off sentinel
     the exact eigenvalues and eigenvectors are kept, so the release equals
@@ -227,7 +258,7 @@ def ed_covariance(rng: randkit.RngStream, cov_hat, n: int, m: float,
     cov_hat = numlin.as_symmetric(cov_hat)
     d = cov_hat.shape[0]
     scaled = (n / (d * m * m)) * cov_hat
-    dec = numlin.symmetric_eigen(scaled)
+    dec = numlin._eigen(scaled)
     lam_hat = dec.eigenvalues
     psd_tol = 1e-10 * max(1.0, float(np.linalg.norm(scaled)))
     if lam_hat[-1] < -psd_tol:
@@ -255,10 +286,17 @@ def ed_covariance(rng: randkit.RngStream, cov_hat, n: int, m: float,
     p_rows = np.eye(d)
     for i in range(d):
         ctil = p_rows @ scaled @ p_rows.T
-        u = randkit.sample_bingham_vector(rng, ctil, eps_step)
+        # Validated once above; only round-off asymmetry to remove here.
+        ctil = 0.5 * (ctil + ctil.T)
+        u = randkit._sample_bingham(rng, numlin._eigen(ctil), eps_step)
         directions[:, i] = p_rows.T @ u
         if i < d - 1:
-            p_rows = numlin.orthonormal_complement(directions[:, : i + 1].T)
+            # Householder reflection H = I - 2 v v^T maps u to -sign(u_0) e_1,
+            # so rows 1.. of H @ p_rows span the complement of the direction.
+            v = u.copy()
+            v[0] += math.copysign(1.0, u[0])
+            v /= np.linalg.norm(v)
+            p_rows = (p_rows - 2.0 * np.outer(v, v @ p_rows))[1:]
     out = (directions * lam_bar) @ directions.T
     return unscale * 0.5 * (out + out.T)
 

@@ -9,6 +9,7 @@ identical outputs under the same numpy/LAPACK build.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +32,10 @@ def as_symmetric(a, *, tol: float = SYMMETRY_TOL) -> np.ndarray:
     if m.shape[0] < 1:
         raise ValueError("matrix dimension must be >= 1")
     scale = 1.0 + (np.max(np.abs(m)) if m.size else 0.0)
+    if not math.isfinite(scale):
+        # NaN or inf entries pass here, and the eigensolver rejects them;
+        # m - m.T would warn on inf - inf.
+        return m
     defect = np.max(np.abs(m - m.T))
     if defect > tol * scale:
         raise ValueError(f"matrix is not symmetric: max asymmetry {defect:.3e}")
@@ -59,7 +64,11 @@ def symmetric_eigen(a) -> EigenDecomposition:
     A 1x1 input is returned directly. Raises ConvergenceError if LAPACK
     fails or any output is non-finite (e.g. the input holds NaN or inf).
     """
-    a = as_symmetric(a)
+    return _eigen(as_symmetric(a))
+
+
+def _eigen(a: np.ndarray) -> EigenDecomposition:
+    """``symmetric_eigen`` of a float64 matrix the caller knows is symmetric."""
     d = a.shape[0]
     if d == 1:
         w = a[0].copy()
@@ -94,7 +103,7 @@ def inverse_sqrt_psd(a, floor: float = 1e-12) -> np.ndarray:
     if floor < 0.0:
         raise ValueError("floor must be nonnegative")
     a = as_symmetric(a)
-    dec = symmetric_eigen(a)
+    dec = _eigen(a)
     w = dec.eigenvalues
     tol = 1e-10 * max(1.0, float(np.linalg.norm(a)))
     if w[-1] < -tol:
@@ -114,59 +123,11 @@ def inverse_sqrt_psd(a, floor: float = 1e-12) -> np.ndarray:
 def psd_sqrt(a) -> np.ndarray:
     """Symmetric PSD square root; negative round-off eigenvalues clamp to 0."""
     a = as_symmetric(a)
-    dec = symmetric_eigen(a)
+    dec = _eigen(a)
     w = np.maximum(dec.eigenvalues, 0.0)
     v = dec.eigenvectors
     out = (v * np.sqrt(w)) @ v.T
     return 0.5 * (out + out.T)
-
-
-def orthonormal_complement(vectors) -> np.ndarray:
-    """Orthonormal basis of the complement of k orthonormal d-vectors.
-
-    ``vectors`` is a (k, d) array (use ``np.empty((0, d))`` for k = 0) or a
-    sequence of d-vectors. Returns a (d-k, d) matrix with orthonormal rows,
-    each orthogonal to every input vector. Deterministic: Gram-Schmidt over
-    the canonical basis e_1, ..., e_d, skipping near-dependent candidates.
-    """
-    v = np.asarray(vectors, dtype=float)
-    if v.ndim == 1:
-        v = v[None, :]
-    if v.ndim != 2:
-        raise ValueError("expected a (k, d) array of row vectors")
-    k, d = v.shape
-    if k >= d:
-        raise ValueError(f"complement is empty: k={k} >= d={d}")
-    if k:
-        gram = v @ v.T
-        if np.max(np.abs(gram - np.eye(k))) > 1e-8:
-            raise ValueError("input vectors are not orthonormal to 1e-8")
-
-    # Rows are written into one preallocated buffer rather than regrowing
-    # the basis with every accepted candidate.
-    basis = np.empty((d, d))
-    basis[:k] = v
-    found = k
-    for j in range(d):
-        if found == d:
-            break
-        filled = basis[:found]
-        cand = np.zeros(d)
-        cand[j] = 1.0
-        # Two projection passes for numerical orthogonality.
-        for _ in range(2):
-            cand = cand - filled.T @ (filled @ cand)
-        norm = float(np.linalg.norm(cand))
-        if norm <= 1e-8:
-            continue
-        basis[found] = cand / norm
-        found += 1
-    if found != d:
-        raise ConvergenceError(
-            f"could not complete orthonormal complement: found {found - k} "
-            f"of {d - k} directions"
-        )
-    return basis[k:]
 
 
 def quadratic_form(x, a) -> float:

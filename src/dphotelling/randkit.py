@@ -177,50 +177,63 @@ def chi2_quantile(prob: float, dof: int) -> float:
 # --- sphere sampler ----------------------------------------------------------
 
 
-def solve_b(lambdas) -> float:
-    """Solve sum_i 1/(b + 2 lambda_i) = 1 for b > 0 by bisection.
+# Newton steps for b. At most a dozen were needed for lambda spreads from
+# 1e-8 to 1e9 and q from 2 to 200; the cap only stops a runaway.
+_B_MAX_ITER = 100
 
-    The input must be nonnegative with min lambda = 0, which guarantees a
-    unique root in (0, q + 2 max lambda].
+
+def solve_b(lambdas) -> float:
+    """Solve sum_i 1/(b + 2 lambda_i) = 1 for b > 0 by monotone Newton steps.
+
+    The input must be nonnegative with min lambda = 0 (up to 1e-8 relative),
+    which guarantees a unique root in (0, q]; Kent, Ganeiber and Mardia
+    (2018) use this b to tune the angular-central-Gaussian envelope of the
+    Bingham sampler. f(b) = sum_i 1/(b + 2 lambda_i) - 1 is convex and
+    decreasing, and the start b0 = max(q - 2 mean(lambda), 1 - 2 min(lambda))
+    lies left of the root: the first term by Jensen's inequality, the
+    second because the min-lambda term alone is at most 1. From the left of
+    the root of a convex decreasing function every Newton step moves up and
+    stays left of the root, so no bracket is needed. Stops when a step is at
+    most 1e-13 |b|; raises ConvergenceError after ``_B_MAX_ITER`` steps, if
+    the residual exceeds 1e-8, or if a smallest lambda that passed as zero
+    leaves no positive root.
     """
     lam = np.asarray(lambdas, dtype=float)
     if lam.ndim != 1 or lam.size == 0:
         raise ValueError("lambdas must be a nonempty vector")
     q = lam.size
-    lam_max = float(np.max(lam))
-    lam_min = float(np.min(lam))
+    lam_max = float(lam.max())
+    lam_min = float(lam.min())
     if lam_min < -1e-10 * max(1.0, lam_max):
         raise ValueError("lambdas must be nonnegative")
     if lam_min > 1e-8 * max(1.0, lam_max):
         raise ValueError("smallest lambda must be zero")
-    lam = np.maximum(lam, 0.0)
     if lam_max == 0.0:
         return float(q)  # equation reads q / b = 1
 
-    if q <= 16:
-        two_lam = [2.0 * float(v) for v in lam]
-
-        def f(b: float) -> float:
-            return sum(1.0 / (b + t) for t in two_lam) - 1.0
-    else:
-        two_lam_arr = 2.0 * lam
-
-        def f(b: float) -> float:
-            return float(np.sum(1.0 / (b + two_lam_arr))) - 1.0
-
-    lo, hi = 1e-12, q + 2.0 * lam_max
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if f(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-10:
+    two_lam = 2.0 * np.maximum(lam, 0.0)
+    b = max(q - float(two_lam.sum()) / q, 1.0 - 2.0 * max(lam_min, 0.0))
+    for _ in range(_B_MAX_ITER):
+        r = 1.0 / (b + two_lam)
+        f = float(r.sum()) - 1.0
+        # Newton step -f(b) / f'(b); a step <= 0 only comes from rounding
+        # at the root.
+        step = f / float(r @ r)
+        b += step
+        if step <= 1e-13 * abs(b):
             break
-    b = 0.5 * (lo + hi)
-    residual = abs(f(b))
+    else:
+        raise ConvergenceError(
+            f"b-equation Newton iteration did not converge in {_B_MAX_ITER} steps"
+        )
+    # The last step did not cross the root, so the residual at the
+    # returned b is at most |f| at the iterate before it.
+    residual = abs(f)
     if residual > 1e-8:
         raise ConvergenceError(f"b-equation residual {residual:.3e} > 1e-8")
+    if not b > 0.0:
+        # A smallest lambda accepted as zero can still put the root at b <= 0.
+        raise ConvergenceError(f"b-equation root {b:.3e} is not positive")
     return b
 
 
@@ -241,10 +254,14 @@ def sample_bingham_vector(rng: RngStream, c, eps_step: float) -> np.ndarray:
     """
     if not eps_step > 0.0:
         raise ValueError(f"eps_step must be positive, got {eps_step}")
-    c = numlin.as_symmetric(c)
-    q = c.shape[0]
-    dec = numlin.symmetric_eigen(c)
+    return _sample_bingham(rng, numlin.symmetric_eigen(c), eps_step)
+
+
+def _sample_bingham(rng: RngStream, dec: numlin.EigenDecomposition,
+                    eps_step: float) -> np.ndarray:
+    """``sample_bingham_vector`` given C's eigendecomposition and a valid eps_step."""
     mu = dec.eigenvalues  # descending
+    q = mu.shape[0]
     spread = float(mu[0] - mu[-1])
     # Eigenvalues of A in the eigenbasis of C; the largest mu gives 0.
     lam_a = 0.25 * eps_step * (mu[0] - mu)

@@ -65,7 +65,10 @@ class DesignSpec:
         if self.design == UNIFORM_CUBE:
             return half_width
         if self.design == TOEPLITZ:
-            return half_width * (2.0 * self.toeplitz_off + self.toeplitz_diag)
+            # A row of the Toeplitz matrix has at most one diagonal and two
+            # off-diagonal entries, of either sign.
+            return half_width * (abs(self.toeplitz_diag)
+                                 + 2.0 * abs(self.toeplitz_off))
         return 1.0
 
     def toeplitz_matrix(self) -> np.ndarray:

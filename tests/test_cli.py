@@ -192,6 +192,30 @@ class TestReadMatrixCsv:
         with pytest.raises(cli.CsvFormatError, match=field):
             cli.read_matrix_csv(str(p))
 
+    @pytest.mark.parametrize("text, where", [
+        ("u,v\n1,2\n3,1_0\n", "line 3, column 2"),
+        ("\nu,v\n\n1,2\n\n3,4\n1_0,5\n", "line 7, column 1"),
+        ("1,2\n\n\"3\", 4\n5,\u0661\n", "line 4, column 2"),
+    ])
+    def test_float_only_syntax_names_line_and_column(self, tmp_path, text,
+                                                      where):
+        p = tmp_path / "a.csv"
+        p.write_text(text, encoding="utf-8")
+        with pytest.raises(cli.CsvFormatError, match=f"{where}: unsupported"):
+            cli.read_matrix_csv(str(p))
+
+    @pytest.mark.parametrize("data, line", [
+        (b"\xff\xfeu,v\n1,2\n", 1),
+        (b"u,v\n\n1,2\n3,\xe94\n", 4),
+        (b"1,2\n" * 5000 + b"3,\xff\n", 5001),
+    ], ids=["first-line", "after-header", "inside-numeric-parse"])
+    def test_not_utf8_names_file_and_line(self, tmp_path, data, line):
+        p = tmp_path / "a.csv"
+        p.write_bytes(data)
+        with pytest.raises(cli.CsvFormatError,
+                           match=f"a.csv: line {line}: not UTF-8 text"):
+            cli.read_matrix_csv(str(p))
+
     def test_header_only_rejected(self, tmp_path, recwarn):
         p = tmp_path / "a.csv"
         p.write_text("u,v\n\n")
@@ -283,6 +307,14 @@ class TestCmdTest:
         err = capsys.readouterr().err
         assert code == 2
         assert f"line 3, column 2: non-finite value '{field}'" in err
+
+    def test_not_utf8_csv_exit_code(self, tmp_path, capsys):
+        p = tmp_path / "x.csv"
+        p.write_bytes(b"0.1,0.2\n0.3,0.4\n\xff\n")
+        y = write_csv(tmp_path / "y.csv", [[0.1, 0.2], [0.3, 0.4]])
+        code = cli.main(["test", str(p), y, "--epsilon", "1", "--bound-m", "1"])
+        assert code == 2
+        assert f"{p}: line 3: not UTF-8 text" in capsys.readouterr().err
 
     def test_numeric_failure_exit_code(self, h0_pair, monkeypatch, capsys):
         x, y = h0_pair

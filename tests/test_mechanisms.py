@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from dphotelling.errors import BoundViolationError
-from dphotelling.mechanisms import (PRIVACY_OFF, PrivacyBudget, SampleSummary,
+from dphotelling import randkit
+from dphotelling.mechanisms import (PRIVACY_OFF, PrivacyBudget,
+                                    PrivatizedSummary, SampleSummary,
                                     compute_summary, ed_covariance,
                                     laplace_mean_scale, privatize_mean,
                                     privatize_summaries)
@@ -85,6 +87,20 @@ class TestComputeSummary:
         s = compute_summary(np.array([0.1, 0.2, 0.3]), 1.0)
         assert s.dim == 1
 
+    @pytest.mark.parametrize("n", [3, 8192, 8193, 30000])
+    def test_row_blocks_match_one_pass(self, n):
+        # One block up to 8192 rows gives the one-pass bytes; more blocks
+        # only reorder the sum.
+        x = np.random.default_rng(n).uniform(-1.0, 1.0, (n, 4))
+        centered = x - x.mean(axis=0)
+        ref = (centered.T @ centered) / (n - 1)
+        ref = 0.5 * (ref + ref.T)
+        cov = compute_summary(x, 1.0).cov
+        if n <= 8192:
+            assert np.array_equal(cov, ref)
+        else:
+            assert np.max(np.abs(cov - ref)) <= 5e-16
+
 
 class TestPrivatizeMean:
     def test_privacy_off_is_identity(self):
@@ -162,6 +178,53 @@ class TestEdCovariance:
     def test_rejects_indefinite_input(self):
         with pytest.raises(ValueError, match="PSD"):
             ed_covariance(RngStream(0), np.diag([1.0, -0.5]), 10, 1.0, 1.0)
+
+    @staticmethod
+    def _random_cov(d, seed):
+        b = np.random.default_rng(seed).standard_normal((d, d))
+        return b @ b.T / d
+
+    @pytest.mark.parametrize("d", [2, 5, 30])
+    def test_eigenvalues_are_unscaled_folded_eigenvalues(self, d):
+        n, m, eps = 400, 1.5, 3.0
+        for seed in range(5):
+            cov = self._random_cov(d, seed)
+            out = ed_covariance(RngStream(seed), cov, n, m, eps)
+            assert np.array_equal(out, out.T)
+            # The eigenvalue noise is the stream's first draw.
+            unscale = d * m * m / n
+            lam_hat = symmetric_eigen(cov / unscale).eigenvalues
+            noise = RngStream(seed).generator.laplace(
+                0.0, 2.0 * (d + 1) / eps, size=d)
+            folded = np.sort(unscale * np.abs(lam_hat + noise))[::-1]
+            w = np.linalg.eigvalsh(out)[::-1]
+            assert w[-1] >= 0.0
+            assert np.max(np.abs(w - folded)) <= 1e-12 * folded[0]
+
+    @pytest.mark.parametrize("d", [2, 5, 30])
+    def test_released_directions_are_orthonormal(self, d, monkeypatch):
+        # Noise that sets every folded eigenvalue to 1 turns the release
+        # into unscale * D D^T for the matrix D of released directions.
+        n, m = 400, 1.5
+        unscale = d * m * m / n
+        cov = self._random_cov(d, 7)
+        lam_hat = symmetric_eigen(cov / unscale).eigenvalues
+        monkeypatch.setattr(randkit, "sample_laplace",
+                            lambda rng, scale, size: 1.0 - lam_hat)
+        for seed in range(5):
+            out = ed_covariance(RngStream(seed), cov, n, m, 3.0)
+            assert np.max(np.abs(out / unscale - np.eye(d))) <= 1e-12
+
+    @pytest.mark.parametrize("d", [2, 5, 30])
+    def test_leading_direction_found_at_large_epsilon(self, d):
+        # Spectrum 4, 1, ..., 1 in a random basis; the leading released
+        # direction must line up with the true leading eigenvector.
+        q, _ = np.linalg.qr(np.random.default_rng(d).standard_normal((d, d)))
+        cov = (q * np.r_[4.0, np.ones(d - 1)]) @ q.T
+        for seed in range(5):
+            out = ed_covariance(RngStream(seed), cov, 1000, 2.0, 1e6)
+            lead = symmetric_eigen(out).eigenvectors[:, 0]
+            assert abs(lead @ q[:, 0]) >= 0.999
 
     def test_consistency_trend(self):
         # Fixed budget: the release error shrinks as the sample grows.
@@ -252,3 +315,31 @@ class TestSampleSummaryType:
         with pytest.raises(ValueError, match="symmetric"):
             SampleSummary(n=5, mean=np.zeros(2),
                           cov=np.array([[1.0, 0.3], [0.0, 1.0]]), bound_m=1.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.filterwarnings("error")
+    def test_rejects_non_finite_fields(self, bad):
+        with pytest.raises(ValueError, match="mean has a non-finite"):
+            SampleSummary(n=5, mean=np.array([0.1, bad]), cov=np.eye(2),
+                          bound_m=1.0)
+        cov = np.eye(2)
+        cov[1, 1] = bad
+        with pytest.raises(ValueError, match="cov has a non-finite"):
+            SampleSummary(n=5, mean=np.zeros(2), cov=cov, bound_m=1.0)
+
+
+class TestPrivatizedSummaryType:
+    @pytest.mark.parametrize("field", ["mean_x_dp", "mean_y_dp",
+                                       "cov_x_dp", "cov_y_dp"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.filterwarnings("error")
+    def test_rejects_non_finite_fields(self, field, bad):
+        fields = dict(mean_x_dp=np.zeros(2), mean_y_dp=np.zeros(2),
+                      cov_x_dp=np.eye(2), cov_y_dp=np.eye(2))
+        fields[field] = fields[field].copy()
+        fields[field][0] = bad
+        if field.startswith("cov"):
+            fields[field][:, 0] = bad
+        with pytest.raises(ValueError, match=f"{field} has a non-finite"):
+            PrivatizedSummary(**fields, budget=PrivacyBudget.even_split(1.0),
+                              n1=10, n2=10, bound_m=1.0)

@@ -131,6 +131,13 @@ class TestSymmetricEigen:
         with pytest.raises(ConvergenceError, match="non-finite"):
             numlin.symmetric_eigen(a)
 
+    @pytest.mark.filterwarnings("error")
+    def test_infinite_entry_passes_symmetry_check_silently(self):
+        a = numlin.as_symmetric([[np.inf, 0.0], [0.0, 1.0]])
+        assert a[0, 0] == np.inf
+        with pytest.raises(ConvergenceError, match="non-finite"):
+            numlin.symmetric_eigen(a)
+
     def test_lapack_failure_raises_convergence_error(self, monkeypatch):
         def fail(a):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
@@ -191,74 +198,6 @@ class TestPsdSqrt:
     def test_clamps_tiny_negative(self):
         r = numlin.psd_sqrt(np.diag([1.0, -1e-14]))
         assert r[1, 1] == 0.0
-
-
-class TestOrthonormalComplement:
-    def test_single_axis_in_plane(self):
-        out = numlin.orthonormal_complement(np.array([[1.0, 0.0]]))
-        assert out.shape == (1, 2)
-        assert abs(abs(out[0, 1]) - 1.0) <= 1e-12
-        assert abs(out[0, 0]) <= 1e-12
-
-    def test_empty_input_is_identity(self):
-        out = numlin.orthonormal_complement(np.empty((0, 3)))
-        assert np.array_equal(out, np.eye(3))
-
-    def test_diagonal_direction(self):
-        v = np.ones(3) / np.sqrt(3.0)
-        out = numlin.orthonormal_complement(v)
-        assert out.shape == (2, 3)
-        assert np.max(np.abs(out @ v)) <= 1e-8
-        assert np.linalg.norm(out @ out.T - np.eye(2)) <= 1e-8
-
-    def test_random_subspaces(self):
-        gen = np.random.default_rng(3)
-        for _ in range(100):
-            d = int(gen.integers(2, 8))
-            k = int(gen.integers(1, d))
-            q, _ = np.linalg.qr(gen.standard_normal((d, k)))
-            v = q.T
-            out = numlin.orthonormal_complement(v)
-            assert out.shape == (d - k, d)
-            assert np.max(np.abs(out @ v.T)) <= 1e-8
-            assert np.linalg.norm(out @ out.T - np.eye(d - k)) <= 1e-8
-
-    def test_matches_vstack_gram_schmidt(self):
-        def reference(v):
-            # Gram-Schmidt over e_1..e_d with the basis grown by vstack.
-            k, d = v.shape
-            rows, basis = [], v
-            for j in range(d):
-                if len(rows) == d - k:
-                    break
-                cand = np.zeros(d)
-                cand[j] = 1.0
-                for _ in range(2):
-                    cand = cand - basis.T @ (basis @ cand)
-                norm = float(np.linalg.norm(cand))
-                if norm <= 1e-8:
-                    continue
-                rows.append(cand / norm)
-                basis = np.vstack([basis, rows[-1]])
-            return np.array(rows)
-
-        gen = np.random.default_rng(17)
-        for _ in range(200):
-            d = int(gen.integers(2, 31))
-            k = int(gen.integers(0, d))
-            q, _ = np.linalg.qr(gen.standard_normal((d, d)))
-            v = q[:, :k].T
-            out = numlin.orthonormal_complement(v)
-            assert out.shape == (d - k, d)
-            assert np.max(np.abs(out - reference(v))) <= 1e-12
-
-    def test_full_basis_rejected(self):
-        with pytest.raises(ValueError, match="empty"):
-            numlin.orthonormal_complement(np.eye(2))
-
-    def test_non_orthonormal_rejected(self):
-        with pytest.raises(ValueError, match="orthonormal"):
-            numlin.orthonormal_complement(np.array([[1.0, 1.0]]))
 
 
 class TestQuadraticForm:

@@ -159,6 +159,49 @@ class TestSolveB:
             assert b > 0.0
             assert abs(np.sum(1.0 / (b + 2.0 * lam)) - 1.0) <= 1e-8
 
+    @staticmethod
+    def _bisection_b(lam):
+        # Reference: bisect f(b) = sum 1/(b + 2 lam) - 1 on (0, q] until the
+        # midpoint no longer moves, summing exactly with fsum.
+        two_lam = [2.0 * float(v) for v in lam]
+
+        def f(b):
+            return math.fsum(1.0 / (b + t) for t in two_lam) - 1.0
+
+        lo, hi = 0.0, float(len(two_lam))
+        while True:
+            mid = 0.5 * (lo + hi)
+            if not lo < mid < hi:
+                return mid
+            if f(mid) > 0.0:
+                lo = mid
+            else:
+                hi = mid
+
+    @pytest.mark.parametrize("q", [1, 2, 3, 16, 17, 200])
+    def test_matches_bisection_reference(self, q):
+        gen = np.random.default_rng(q)
+        for scale in 10.0 ** np.arange(-6, 9):
+            for tiny_min in (False, True):
+                lam = scale * gen.uniform(0.0, 1.0, q)
+                lam[gen.integers(q)] = 0.0
+                if tiny_min:
+                    # Accepted as zero: at most 1e-8 relative.
+                    lam[lam == 0.0] = 1e-9 * max(1.0, float(lam.max()))
+                b = solve_b(lam)
+                assert b == pytest.approx(self._bisection_b(lam), rel=1e-10)
+
+    def test_iteration_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(randkit, "_B_MAX_ITER", 1)
+        with pytest.raises(ConvergenceError, match="did not converge"):
+            solve_b([0.0, 1.0])
+
+    def test_non_positive_root_raises(self):
+        # A smallest lambda of 1 passes as zero next to 1e8, but
+        # 1/(b + 2) + 1/(b + 2e8) < 1 for every b > 0.
+        with pytest.raises(ConvergenceError, match="not positive"):
+            solve_b([1.0, 1e8])
+
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             solve_b([])

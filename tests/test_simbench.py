@@ -24,6 +24,11 @@ class TestDesignSpec:
         spec = DesignSpec("toeplitz", 9, a=1.0)
         assert spec.bound_m == pytest.approx((SQRT3 + 1.0 / 3.0) * (5.0 / 3.0))
 
+    def test_toeplitz_bound_with_negative_entries(self):
+        spec = DesignSpec("toeplitz", 9, a=1.0, toeplitz_diag=-1.0,
+                          toeplitz_off=-1.0 / 3.0)
+        assert spec.bound_m == pytest.approx((SQRT3 + 1.0 / 3.0) * (5.0 / 3.0))
+
     def test_truncated_gaussian_bound(self):
         assert DesignSpec("truncated_gaussian", 1).bound_m == 1.0
 
@@ -79,13 +84,17 @@ class TestGenerate:
             assert np.max(np.abs(x)) <= spec.bound_m
             assert np.max(np.abs(y)) <= spec.bound_m
 
-    def test_leaving_the_bound_raises(self):
-        # A negative off-diagonal breaks the bound formula, which assumes
-        # nonnegative Toeplitz entries; the check must hold under python -O.
-        spec = DesignSpec("toeplitz", 3, toeplitz_off=-1.0 / 3.0)
+    def test_leaving_the_bound_raises(self, monkeypatch):
+        # Cube data reach sqrt(3) > 1; the check must hold under python -O.
+        monkeypatch.setattr(DesignSpec, "bound_m", property(lambda self: 1.0))
         with pytest.raises(BoundViolationError,
                            match="generated data left the declared bound"):
-            generate(RngStream(5), spec, 5000, 5000)
+            generate(RngStream(5), DesignSpec("uniform_cube", 3), 5000, 5000)
+
+    def test_negative_toeplitz_entry_stays_in_bound(self):
+        spec = DesignSpec("toeplitz", 3, toeplitz_off=-1.0 / 3.0)
+        x, y = generate(RngStream(5), spec, 5000, 5000)
+        assert max(np.max(np.abs(x)), np.max(np.abs(y))) <= spec.bound_m
 
     def test_truncated_gaussian_variance_matches_quadrature(self):
         dens = lambda t: np.exp(-2.0 * t * t)

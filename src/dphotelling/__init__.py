@@ -8,15 +8,16 @@ a parametric bootstrap that tracks the privatization noise.
 """
 
 from .decision import (ASYMPTOTIC, BOOTSTRAP, TestConfig, TestOutcome,
-                       asymptotic_threshold, bootstrap_threshold, run_test)
-from .hotelling import (NoiseCorrection, PooledCovariance, noise_correction,
-                        pooled_covariance, private_pooled_covariance,
-                        t2_statistic, t_dp_statistic)
+                       asymptotic_threshold, bootstrap_threshold,
+                       run_on_summaries, run_test)
+from .hotelling import (PooledCovariance, pooled_covariance,
+                        private_pooled_covariance, t2_statistic,
+                        t_dp_statistic)
 from .mechanisms import (PRIVACY_OFF, PrivacyBudget, PrivatizedSummary,
                          SampleSummary, compute_summary, ed_covariance,
                          privatize_mean, privatize_summaries)
 from .randkit import (RngStream, chi2_cdf, chi2_quantile, sample_bingham_vector,
-                      sample_laplace, sample_mvn, sample_std_normal, solve_b)
+                      sample_laplace, solve_b)
 from .simbench import (DesignSpec, CellSpec, RejectionTable, example32_inflation,
                        generate, power_curve, run_grid)
 
@@ -24,15 +25,15 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ASYMPTOTIC", "BOOTSTRAP", "TestConfig", "TestOutcome",
-    "asymptotic_threshold", "bootstrap_threshold", "run_test",
-    "NoiseCorrection", "PooledCovariance", "noise_correction",
-    "pooled_covariance", "private_pooled_covariance", "t2_statistic",
-    "t_dp_statistic",
+    "asymptotic_threshold", "bootstrap_threshold", "run_on_summaries",
+    "run_test",
+    "PooledCovariance", "pooled_covariance", "private_pooled_covariance",
+    "t2_statistic", "t_dp_statistic",
     "PRIVACY_OFF", "PrivacyBudget", "PrivatizedSummary", "SampleSummary",
     "compute_summary", "ed_covariance", "privatize_mean",
     "privatize_summaries",
     "RngStream", "chi2_cdf", "chi2_quantile", "sample_bingham_vector",
-    "sample_laplace", "sample_mvn", "sample_std_normal", "solve_b",
+    "sample_laplace", "solve_b",
     "DesignSpec", "CellSpec", "RejectionTable", "example32_inflation",
     "generate", "power_curve", "run_grid",
     "__version__",

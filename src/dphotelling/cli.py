@@ -24,9 +24,8 @@ import numpy as np
 
 from . import simbench
 from .decision import (ASYMPTOTIC, BOOTSTRAP, TestConfig, asymptotic_threshold,
-                       bootstrap_threshold, quantile_index, run_test)
+                       quantile_index, run_test)
 from .errors import BoundViolationError, CsvFormatError, NumericalError
-from .mechanisms import PrivacyBudget, compute_summary, privatize_summaries
 from .randkit import RngStream
 
 EXIT_OK = 0
@@ -216,9 +215,9 @@ def cmd_test(args) -> int:
     cfg = TestConfig(
         epsilon=eps, bound_m=args.bound_m, alpha=args.alpha,
         bootstrap_b=args.bootstrap_b, threshold_kind=args.mode,
-        seed=args.seed, clamp=args.clamp,
+        clamp=args.clamp,
     )
-    outcome = run_test(RngStream(cfg.seed), x, y, cfg)
+    outcome = run_test(RngStream(args.seed), x, y, cfg)
     if args.json:
         print(json.dumps(outcome.to_dict(), sort_keys=True))
     else:
@@ -241,15 +240,12 @@ def cmd_calibrate(args) -> int:
     cfg = TestConfig(
         epsilon=eps, bound_m=args.bound_m, alpha=args.alpha,
         bootstrap_b=args.bootstrap_b, threshold_kind=BOOTSTRAP,
-        seed=args.seed, clamp=args.clamp,
+        clamp=args.clamp,
     )
-    rng = RngStream(cfg.seed)
-    sx = compute_summary(x, cfg.bound_m, clamp=cfg.clamp)
-    sy = compute_summary(y, cfg.bound_m, clamp=cfg.clamp)
-    ps = privatize_summaries(rng.substream(1), sx, sy,
-                             PrivacyBudget.even_split(eps))
-    q_star = bootstrap_threshold(rng.substream(2), ps, cfg)
-    d = ps.dim
+    # The test's own pipeline; its statistic and decision are not printed.
+    outcome = run_test(RngStream(args.seed), x, y, cfg)
+    q_star = outcome.threshold
+    d = outcome.dim
     q_chi2 = asymptotic_threshold(cfg.alpha, d)
     idx = quantile_index(cfg.alpha, cfg.bootstrap_b)
     if math.isinf(eps):

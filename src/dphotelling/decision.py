@@ -5,6 +5,13 @@ bootstrap threshold is pure post-processing of the privatized summaries:
 it resamples means from the released covariances, re-adds Laplace noise at
 the original public scales, and reads off an empirical order statistic.
 No additional privacy budget is consumed.
+
+``run_on_summaries`` is the one pipeline entry after the summaries:
+``run_test``, the CLI's ``test`` and ``calibrate`` and the Monte Carlo
+bench all reach it. It privatizes once, forms and whitens the corrected
+pooled matrix once for both the statistic and the bootstrap, and skips the
+checks that the summaries, the budget and the configuration already made.
+The public ``bootstrap_threshold`` keeps its own checks and whitening.
 """
 
 from __future__ import annotations
@@ -15,10 +22,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import numlin, randkit
-from .hotelling import private_pooled_covariance, t_dp_statistic
-from .mechanisms import (PrivacyBudget, PrivatizedSummary, compute_summary,
-                         laplace_mean_scale, privatize_summaries)
+from . import hotelling, numlin, randkit
+from .mechanisms import (PrivacyBudget, PrivatizedSummary, SampleSummary,
+                         compute_summary, laplace_mean_scale,
+                         privatize_summaries)
 
 ASYMPTOTIC = "asymptotic"
 BOOTSTRAP = "bootstrap"
@@ -35,7 +42,6 @@ class TestConfig:
     alpha: float = 0.05
     bootstrap_b: int = 200
     threshold_kind: str = BOOTSTRAP
-    seed: int = 0
     clamp: bool = False
 
     def __post_init__(self):
@@ -111,14 +117,22 @@ def bootstrap_threshold(rng: randkit.RngStream, ps: PrivatizedSummary,
     the same corrected pooled matrix used for the observed statistic. The
     replicates are sorted, so the result does not depend on their order.
     """
-    b = cfg.bootstrap_b
-    if math.floor((1.0 - cfg.alpha) * b) < 1:
+    if math.floor((1.0 - cfg.alpha) * cfg.bootstrap_b) < 1:
         raise ValueError("bootstrap_b too small for requested alpha")
+    pooled = hotelling.private_pooled_covariance(ps)
+    inv_root = numlin.inverse_sqrt_psd(pooled.matrix,
+                                       floor=hotelling._CORRECTED_FLOOR)
+    return _bootstrap_threshold(rng, ps, cfg, inv_root)
+
+
+def _bootstrap_threshold(rng: randkit.RngStream, ps: PrivatizedSummary,
+                         cfg: TestConfig, inv_root: np.ndarray) -> float:
+    """``bootstrap_threshold`` given the inverse root of the corrected pool."""
+    b = cfg.bootstrap_b
     d = ps.dim
-    pooled = private_pooled_covariance(ps)
-    inv_root = numlin.inverse_sqrt_psd(pooled.matrix, floor=1e-12)
-    root_x = numlin.psd_sqrt(np.asarray(ps.cov_x_dp) / ps.n1)
-    root_y = numlin.psd_sqrt(np.asarray(ps.cov_y_dp) / ps.n2)
+    # PrivatizedSummary holds symmetric covariances, so cov / n is too.
+    root_x = numlin._psd_sqrt(ps.cov_x_dp / ps.n1)
+    root_y = numlin._psd_sqrt(ps.cov_y_dp / ps.n2)
 
     gen = rng.generator
     x_star = gen.standard_normal((b, d)) @ root_x
@@ -136,14 +150,43 @@ def bootstrap_threshold(rng: randkit.RngStream, ps: PrivatizedSummary,
     return float(stats[quantile_index(cfg.alpha, b) - 1])
 
 
+def run_on_summaries(rng: randkit.RngStream, sx: SampleSummary,
+                     sy: SampleSummary, cfg: TestConfig) -> TestOutcome:
+    """Privatize two group summaries once and test them against the threshold.
+
+    The privacy budget is spent exactly once (inside the privatization,
+    which draws from ``rng.substream(1)``); the statistic, the threshold
+    (bootstrap draws from ``rng.substream(2)``) and the decision are
+    post-processing of the four releases.
+    """
+    budget = PrivacyBudget.even_split(cfg.epsilon)
+    ps = privatize_summaries(rng.substream(1), sx, sy, budget)
+
+    inv_root = hotelling._private_whitener(ps)
+    statistic = hotelling._whitened_t2(inv_root, ps.mean_x_dp, ps.mean_y_dp,
+                                       ps.n1, ps.n2)
+    if cfg.threshold_kind == ASYMPTOTIC:
+        threshold = asymptotic_threshold(cfg.alpha, ps.dim)
+    else:
+        threshold = _bootstrap_threshold(rng.substream(2), ps, cfg, inv_root)
+
+    return TestOutcome(
+        statistic=statistic,
+        threshold=threshold,
+        threshold_kind=cfg.threshold_kind,
+        reject=bool(statistic > threshold),
+        dim=ps.dim,
+        n1=ps.n1,
+        n2=ps.n2,
+        alpha=cfg.alpha,
+        epsilon=cfg.epsilon,
+        budget_split=budget.parts,
+    )
+
+
 def run_test(rng: randkit.RngStream, data_x, data_y,
              cfg: TestConfig) -> TestOutcome:
-    """Full pipeline: summarize, privatize once, test against the threshold.
-
-    The privacy budget is spent exactly once (inside the privatization);
-    the statistic, the threshold, and the decision are post-processing of
-    the four releases.
-    """
+    """Full pipeline: summarize both samples, then ``run_on_summaries``."""
     x = np.asarray(data_x, dtype=float)
     y = np.asarray(data_y, dtype=float)
     if x.ndim == 1:
@@ -159,24 +202,4 @@ def run_test(rng: randkit.RngStream, data_x, data_y,
 
     sx = compute_summary(x, cfg.bound_m, clamp=cfg.clamp)
     sy = compute_summary(y, cfg.bound_m, clamp=cfg.clamp)
-    budget = PrivacyBudget.even_split(cfg.epsilon)
-    ps = privatize_summaries(rng.substream(1), sx, sy, budget)
-
-    statistic = t_dp_statistic(ps)
-    if cfg.threshold_kind == ASYMPTOTIC:
-        threshold = asymptotic_threshold(cfg.alpha, ps.dim)
-    else:
-        threshold = bootstrap_threshold(rng.substream(2), ps, cfg)
-
-    return TestOutcome(
-        statistic=statistic,
-        threshold=threshold,
-        threshold_kind=cfg.threshold_kind,
-        reject=bool(statistic > threshold),
-        dim=ps.dim,
-        n1=ps.n1,
-        n2=ps.n2,
-        alpha=cfg.alpha,
-        epsilon=cfg.epsilon,
-        budget_split=budget.parts,
-    )
+    return run_on_summaries(rng, sx, sy, cfg)

@@ -2,7 +2,15 @@
 
 The quadratic-form statistic is always evaluated through an inverse
 symmetric square root, t = factor * ||S^{-1/2} (mx - my)||^2, which makes
-nonnegativity structural rather than a numerical accident.
+nonnegativity structural rather than a numerical accident. Two pooled
+matrices exist: the classical pool of two sample covariances, and the
+private-corrected pool of two released covariances plus the variance the
+Laplace mean releases add to each coordinate.
+
+The public functions validate their inputs. The test pipeline instead
+calls ``_private_whitener`` once per test and shares the inverse root
+between the statistic (``_whitened_t2``) and the bootstrap; its release
+was validated when it was built.
 """
 
 from __future__ import annotations
@@ -15,10 +23,13 @@ from . import numlin
 from .mechanisms import PrivatizedSummary, laplace_mean_scale
 
 CLASSICAL = "classical"
-REWEIGHTED = "reweighted"
 PRIVATE_CORRECTED = "private-corrected"
 
-_KINDS = (CLASSICAL, REWEIGHTED, PRIVATE_CORRECTED)
+_KINDS = (CLASSICAL, PRIVATE_CORRECTED)
+
+# Eigenvalue floor of the inverse root of a private-corrected pool, which is
+# positive definite by construction and only needs a round-off guard.
+_CORRECTED_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
@@ -37,55 +48,45 @@ class PooledCovariance:
         object.__setattr__(self, "matrix", m)
 
 
-@dataclass(frozen=True)
-class NoiseCorrection:
-    """Variance added to each diagonal entry by the two mean privatizations."""
-
-    c1: float
-    c2: float
-
-    @property
-    def total(self) -> float:
-        return self.c1 + self.c2
-
-
-def pooled_covariance(sx_cov, sy_cov, n1: int, n2: int,
-                      kind: str = CLASSICAL) -> PooledCovariance:
-    """Pool two sample covariances.
-
-    classical:  ((n1-1) Sx + (n2-1) Sy) / (n1 + n2 - 2), requires n1+n2 >= 3
-    reweighted: (n2 Sx + n1 Sy) / (n1 + n2)  (no equal-covariance assumption)
-    """
-    sx = numlin.as_symmetric(sx_cov)
-    sy = numlin.as_symmetric(sy_cov)
+def _check_groups(sx: np.ndarray, sy: np.ndarray, n1: int, n2: int) -> None:
     if sx.shape != sy.shape:
         raise ValueError(f"dimension mismatch: {sx.shape} vs {sy.shape}")
     if n1 < 1 or n2 < 1:
         raise ValueError("group sizes must be positive")
-    if kind == CLASSICAL:
-        if n1 + n2 < 3:
-            raise ValueError("classical pooling needs n1 + n2 >= 3")
-        mat = ((n1 - 1) * sx + (n2 - 1) * sy) / (n1 + n2 - 2)
-    elif kind == REWEIGHTED:
-        mat = (n2 * sx + n1 * sy) / (n1 + n2)
-    else:
-        raise ValueError(f"unknown pooled kind {kind!r}")
-    return PooledCovariance(matrix=mat, kind=kind, n1=n1, n2=n2)
 
 
-def noise_correction(m: float, d: int, n1: int, n2: int,
-                     eps: float) -> NoiseCorrection:
-    """Diagonal corrections c_i = 2 (2md / (n_i (eps/4)))^2.
+def _classical_pool(sx: np.ndarray, sy: np.ndarray, n1: int,
+                    n2: int) -> np.ndarray:
+    if n1 + n2 < 3:
+        raise ValueError("classical pooling needs n1 + n2 >= 3")
+    return ((n1 - 1) * sx + (n2 - 1) * sy) / (n1 + n2 - 2)
 
-    These are exactly the variances of the Laplace noise added to each mean
-    coordinate when the total budget ``eps`` splits evenly four ways; they
-    vanish under the privacy-off sentinel.
+
+def pooled_covariance(sx_cov, sy_cov, n1: int, n2: int) -> PooledCovariance:
+    """Pool two sample covariances: ((n1-1) Sx + (n2-1) Sy) / (n1 + n2 - 2).
+
+    Requires n1 + n2 >= 3.
     """
-    if not m > 0.0 or d < 1 or n1 < 1 or n2 < 1 or not eps > 0.0:
-        raise ValueError("all noise-correction inputs must be positive")
-    b1 = laplace_mean_scale(n1, m, d, eps / 4.0)
-    b2 = laplace_mean_scale(n2, m, d, eps / 4.0)
-    return NoiseCorrection(c1=2.0 * b1 * b1, c2=2.0 * b2 * b2)
+    sx = numlin.as_symmetric(sx_cov)
+    sy = numlin.as_symmetric(sy_cov)
+    _check_groups(sx, sy, n1, n2)
+    return PooledCovariance(matrix=_classical_pool(sx, sy, n1, n2),
+                            kind=CLASSICAL, n1=n1, n2=n2)
+
+
+def _private_pooled_matrix(ps: PrivatizedSummary) -> np.ndarray:
+    """Classical pool of the released covariances plus c1 + c2 on the diagonal.
+
+    c_i = 2 b_i^2 is the variance of the Laplace noise of scale b_i that the
+    mean release of group i added to each coordinate, computed from the
+    budget parts actually spent; it vanishes under the privacy-off sentinel.
+    """
+    d = ps.dim
+    b1 = laplace_mean_scale(ps.n1, ps.bound_m, d, ps.budget.mean_x)
+    b2 = laplace_mean_scale(ps.n2, ps.bound_m, d, ps.budget.mean_y)
+    shift = 2.0 * b1 * b1 + 2.0 * b2 * b2
+    base = _classical_pool(ps.cov_x_dp, ps.cov_y_dp, ps.n1, ps.n2)
+    return base + shift * np.eye(d)
 
 
 def private_pooled_covariance(ps: PrivatizedSummary) -> PooledCovariance:
@@ -95,23 +96,35 @@ def private_pooled_covariance(ps: PrivatizedSummary) -> PooledCovariance:
     spent, and is added exactly once; the result is positive definite
     whenever any noise was added.
     """
-    base = pooled_covariance(ps.cov_x_dp, ps.cov_y_dp, ps.n1, ps.n2, CLASSICAL)
-    d = ps.dim
-    b1 = laplace_mean_scale(ps.n1, ps.bound_m, d, ps.budget.mean_x)
-    b2 = laplace_mean_scale(ps.n2, ps.bound_m, d, ps.budget.mean_y)
-    shift = 2.0 * b1 * b1 + 2.0 * b2 * b2
-    mat = base.matrix + shift * np.eye(d)
-    return PooledCovariance(matrix=mat, kind=PRIVATE_CORRECTED,
-                            n1=ps.n1, n2=ps.n2)
+    _check_groups(ps.cov_x_dp, ps.cov_y_dp, ps.n1, ps.n2)
+    return PooledCovariance(matrix=_private_pooled_matrix(ps),
+                            kind=PRIVATE_CORRECTED, n1=ps.n1, n2=ps.n2)
+
+
+def _private_whitener(ps: PrivatizedSummary) -> np.ndarray:
+    """S^{-1/2} of the private-corrected pool of a release the pipeline built.
+
+    The released covariances are exactly symmetric and of one dimension, so
+    neither is checked again.
+    """
+    return numlin._inverse_sqrt_psd(_private_pooled_matrix(ps),
+                                    _CORRECTED_FLOOR)
+
+
+def _whitened_t2(root: np.ndarray, mx: np.ndarray, my: np.ndarray, n1: int,
+                 n2: int) -> float:
+    """(n1 n2 / (n1+n2)) ||root (mx - my)||^2 for float vectors mx, my."""
+    z = root @ (mx - my)
+    return (n1 * n2 / (n1 + n2)) * float(z @ z)
 
 
 def t2_statistic(mean_x, mean_y, pooled: PooledCovariance,
                  n1: int, n2: int) -> float:
     """Scaled Mahalanobis statistic (n1 n2 / (n1+n2)) ||S^{-1/2}(mx-my)||^2.
 
-    Classical and reweighted pooled matrices must be invertible
-    (SingularMatrixError otherwise); the private-corrected kind is positive
-    definite by construction and only gets a round-off floor.
+    A classical pooled matrix must be invertible (SingularMatrixError
+    otherwise); the private-corrected kind is positive definite by
+    construction and only gets a round-off floor.
     """
     mx = np.asarray(mean_x, dtype=float).reshape(-1)
     my = np.asarray(mean_y, dtype=float).reshape(-1)
@@ -120,10 +133,9 @@ def t2_statistic(mean_x, mean_y, pooled: PooledCovariance,
         raise ValueError("mean vectors and pooled matrix disagree in dimension")
     if n1 < 1 or n2 < 1:
         raise ValueError("group sizes must be positive")
-    floor = 1e-12 if pooled.kind == PRIVATE_CORRECTED else 0.0
+    floor = _CORRECTED_FLOOR if pooled.kind == PRIVATE_CORRECTED else 0.0
     root = numlin.inverse_sqrt_psd(pooled.matrix, floor=floor)
-    z = root @ (mx - my)
-    return (n1 * n2 / (n1 + n2)) * float(z @ z)
+    return _whitened_t2(root, mx, my, n1, n2)
 
 
 def t_dp_statistic(ps: PrivatizedSummary) -> float:

@@ -210,11 +210,17 @@ def privatize_mean(rng: randkit.RngStream, mean, n: int, m: float,
         raise ValueError("n must be positive")
     if not m > 0.0:
         raise ValueError("bound m must be positive")
-    d = mean.shape[0]
     if np.max(np.abs(mean)) > m + _BOUND_SLACK * (1.0 + m):
         raise BoundViolationError(
             f"mean coordinate outside [-{m}, {m}]: noise calibration invalid"
         )
+    return _privatize_mean(rng, mean, n, m, eps_part)
+
+
+def _privatize_mean(rng: randkit.RngStream, mean: np.ndarray, n: int,
+                    m: float, eps_part: float) -> np.ndarray:
+    """``privatize_mean`` of a float vector whose checks already passed."""
+    d = mean.shape[0]
     scale = laplace_mean_scale(n, m, d, eps_part)
     if scale == 0.0:
         return mean.copy()
@@ -255,7 +261,12 @@ def ed_covariance(rng: randkit.RngStream, cov_hat, n: int, m: float,
         raise ValueError("n must be positive")
     if not m > 0.0:
         raise ValueError("bound m must be positive")
-    cov_hat = numlin.as_symmetric(cov_hat)
+    return _ed_covariance(rng, numlin.as_symmetric(cov_hat), n, m, eps_part)
+
+
+def _ed_covariance(rng: randkit.RngStream, cov_hat: np.ndarray, n: int,
+                   m: float, eps_part: float) -> np.ndarray:
+    """``ed_covariance`` of a symmetric float64 matrix whose checks passed."""
     d = cov_hat.shape[0]
     scaled = (n / (d * m * m)) * cov_hat
     dec = numlin._eigen(scaled)
@@ -320,12 +331,14 @@ def privatize_summaries(rng: randkit.RngStream, sx: SampleSummary,
             f"budget audit failed: parts sum to {total!r}, "
             f"expected {budget.epsilon_total!r}"
         )
+    # The summaries and the budget validated n, m, the mean bound, the
+    # symmetry of each covariance and every budget part on construction.
     m = sx.bound_m
     return PrivatizedSummary(
-        mean_x_dp=privatize_mean(rng.substream(0), sx.mean, sx.n, m, budget.mean_x),
-        mean_y_dp=privatize_mean(rng.substream(1), sy.mean, sy.n, m, budget.mean_y),
-        cov_x_dp=ed_covariance(rng.substream(2), sx.cov, sx.n, m, budget.cov_x),
-        cov_y_dp=ed_covariance(rng.substream(3), sy.cov, sy.n, m, budget.cov_y),
+        mean_x_dp=_privatize_mean(rng.substream(0), sx.mean, sx.n, m, budget.mean_x),
+        mean_y_dp=_privatize_mean(rng.substream(1), sy.mean, sy.n, m, budget.mean_y),
+        cov_x_dp=_ed_covariance(rng.substream(2), sx.cov, sx.n, m, budget.cov_x),
+        cov_y_dp=_ed_covariance(rng.substream(3), sy.cov, sy.n, m, budget.cov_y),
         budget=budget,
         n1=sx.n,
         n2=sy.n,

@@ -102,7 +102,11 @@ def inverse_sqrt_psd(a, floor: float = 1e-12) -> np.ndarray:
     """
     if floor < 0.0:
         raise ValueError("floor must be nonnegative")
-    a = as_symmetric(a)
+    return _inverse_sqrt_psd(as_symmetric(a), floor)
+
+
+def _inverse_sqrt_psd(a: np.ndarray, floor: float) -> np.ndarray:
+    """``inverse_sqrt_psd`` of a symmetric float64 matrix, given floor >= 0."""
     dec = _eigen(a)
     w = dec.eigenvalues
     tol = 1e-10 * max(1.0, float(np.linalg.norm(a)))
@@ -122,20 +126,13 @@ def inverse_sqrt_psd(a, floor: float = 1e-12) -> np.ndarray:
 
 def psd_sqrt(a) -> np.ndarray:
     """Symmetric PSD square root; negative round-off eigenvalues clamp to 0."""
-    a = as_symmetric(a)
+    return _psd_sqrt(as_symmetric(a))
+
+
+def _psd_sqrt(a: np.ndarray) -> np.ndarray:
+    """``psd_sqrt`` of a float64 matrix the caller knows is symmetric."""
     dec = _eigen(a)
     w = np.maximum(dec.eigenvalues, 0.0)
     v = dec.eigenvectors
     out = (v * np.sqrt(w)) @ v.T
     return 0.5 * (out + out.T)
-
-
-def quadratic_form(x, a) -> float:
-    """x^T A x for a symmetric matrix A."""
-    x = np.asarray(x, dtype=float)
-    a = as_symmetric(a)
-    if x.ndim != 1 or x.shape[0] != a.shape[0]:
-        raise ValueError(
-            f"dimension mismatch: vector {x.shape} vs matrix {a.shape}"
-        )
-    return float(x @ a @ x)

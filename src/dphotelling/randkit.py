@@ -26,16 +26,28 @@ class RngStream:
     Identical ``(seed, stream_id)`` and substream path reproduce an
     identical draw sequence; distinct ids or paths give statistically
     independent streams. A stream is owned by one logical task at a time.
+    The generator is built the first time ``generator`` is read, so a
+    stream that only derives substreams costs no Philox construction; its
+    key depends on the identity alone, not on when it is built.
     """
+
+    __slots__ = ("seed", "stream_id", "_path", "_generator")
 
     def __init__(self, seed: int, stream_id: int = 0, _path: tuple = ()):
         self.seed = int(seed)
         self.stream_id = int(stream_id)
-        self._path = tuple(int(t) for t in _path)
-        ss = np.random.SeedSequence(
-            entropy=self.seed, spawn_key=(self.stream_id, *self._path)
-        )
-        self.generator = np.random.Generator(np.random.Philox(ss))
+        self._path = tuple(map(int, _path))
+        self._generator = None
+
+    @property
+    def generator(self) -> np.random.Generator:
+        gen = self._generator
+        if gen is None:
+            ss = np.random.SeedSequence(
+                entropy=self.seed, spawn_key=(self.stream_id, *self._path)
+            )
+            gen = self._generator = np.random.Generator(np.random.Philox(ss))
+        return gen
 
     def substream(self, *tags: int) -> "RngStream":
         """Derive an independent stream; deterministic in the tag path."""
@@ -59,28 +71,6 @@ def sample_laplace(rng: RngStream, scale: float, size=None):
     if size is None:
         return float(rng.generator.laplace(0.0, scale))
     return rng.generator.laplace(0.0, scale, size=size)
-
-
-def sample_std_normal(rng: RngStream, size=None):
-    """Standard normal draw(s)."""
-    if size is None:
-        return float(rng.generator.standard_normal())
-    return rng.generator.standard_normal(size)
-
-
-def sample_mvn(rng: RngStream, cov, size=None):
-    """Centered multivariate normal draw(s) with the given covariance.
-
-    The factor is the symmetric PSD square root of ``cov`` (eigenvalues
-    clamped at zero), so a PSD-within-round-off covariance is accepted.
-    Returns shape (d,) for ``size=None``, else (size, d).
-    """
-    root = numlin.psd_sqrt(cov)
-    d = root.shape[0]
-    if size is None:
-        return root @ rng.generator.standard_normal(d)
-    z = rng.generator.standard_normal((int(size), d))
-    return z @ root  # root is symmetric
 
 
 # --- chi-squared distribution ------------------------------------------------

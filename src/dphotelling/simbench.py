@@ -147,9 +147,6 @@ class CellResult:
 class RejectionTable:
     rows: tuple
 
-    def to_csv(self, path) -> None:
-        write_table_csv(self, path)
-
 
 CSV_COLUMNS = ("design", "d", "eps", "n", "a", "kind", "reps", "reject_rate")
 
@@ -188,7 +185,7 @@ def _replicate(master_seed: int, cell_index: int, rep: int, cell: CellSpec,
     x, y = generate(rng.substream(0), cell.design, cell.n, cell.n)
     cfg = TestConfig(
         epsilon=cell.eps, bound_m=cell.design.bound_m, alpha=alpha,
-        bootstrap_b=bootstrap_b, threshold_kind=cell.kind, seed=master_seed,
+        bootstrap_b=bootstrap_b, threshold_kind=cell.kind,
     )
     return run_test(rng.substream(1), x, y, cfg).reject
 

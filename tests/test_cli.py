@@ -8,7 +8,11 @@ import numpy as np
 import pytest
 
 from dphotelling import cli, randkit
+from dphotelling.decision import (TestConfig, asymptotic_threshold,
+                                  bootstrap_threshold)
 from dphotelling.errors import NumericalError
+from dphotelling.mechanisms import (PrivacyBudget, compute_summary,
+                                    privatize_summaries)
 from dphotelling.randkit import chi2_quantile
 from dphotelling.simbench import read_table_csv
 
@@ -414,6 +418,28 @@ class TestCmdCalibrate:
         ref = float(out.split("chi2 quantile")[1].split(":")[1].split("(")[0])
         assert ref == pytest.approx(chi2_quantile(0.95, 10), rel=1e-9)
         assert "order statistic 190 of 200" in out
+
+    def test_thresholds_match_public_composition(self, tmp_path, capsys):
+        gen = np.random.default_rng(4)
+        x = write_csv(tmp_path / "x.csv", gen.uniform(-1, 1, (80, 3)))
+        y = write_csv(tmp_path / "y.csv", gen.uniform(-1, 1, (60, 3)))
+        code = cli.main(["calibrate", x, y, "--epsilon", "1", "--bound-m", "1",
+                         "--seed", "6", "--alpha", "0.1", "--bootstrap-B", "150"])
+        out = capsys.readouterr().out
+        assert code == 0
+
+        rng = randkit.RngStream(6)
+        sx = compute_summary(cli.read_matrix_csv(x), 1.0)
+        sy = compute_summary(cli.read_matrix_csv(y), 1.0)
+        ps = privatize_summaries(rng.substream(1), sx, sy,
+                                 PrivacyBudget.even_split(1.0))
+        cfg = TestConfig(epsilon=1.0, bound_m=1.0, alpha=0.1, bootstrap_b=150)
+        q_star = bootstrap_threshold(rng.substream(2), ps, cfg)
+        q_chi2 = asymptotic_threshold(0.1, 3)
+        assert out == (
+            f"bootstrap threshold : {q_star:.10g} (order statistic 135 of 150)\n"
+            f"chi2 quantile       : {q_chi2:.10g} (d=3, alpha=0.1)\n"
+        )
 
     def test_alpha_half_index(self, tmp_path, capsys):
         gen = np.random.default_rng(2)

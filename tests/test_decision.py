@@ -5,7 +5,8 @@ import pytest
 
 from dphotelling.decision import (ASYMPTOTIC, BOOTSTRAP, TestConfig,
                                   asymptotic_threshold, bootstrap_threshold,
-                                  quantile_index, run_test)
+                                  quantile_index, run_on_summaries, run_test)
+from dphotelling.hotelling import t_dp_statistic
 from dphotelling.mechanisms import (PRIVACY_OFF, PrivacyBudget,
                                     PrivatizedSummary, compute_summary,
                                     privatize_summaries)
@@ -191,3 +192,49 @@ class TestLevelAndConsistency:
         slack = 2.0 * math.sqrt(0.25 / reps)
         assert all(b >= a - slack for a, b in zip(rates, rates[1:]))
         assert rates[-1] >= 0.99
+
+
+class TestPipelineEntry:
+    """``run_test`` against the composition of the public functions.
+
+    The pipeline whitens once and skips repeated checks; its output must be
+    the same bits as the public functions' composition, compared with ==.
+    """
+
+    @pytest.mark.parametrize("d", [1, 3, 30])
+    @pytest.mark.parametrize("kind", [BOOTSTRAP, ASYMPTOTIC])
+    @pytest.mark.parametrize("eps", [1.0, PRIVACY_OFF])
+    def test_matches_public_composition(self, d, kind, eps):
+        spec = DesignSpec("uniform_cube", d, a=0.4)
+        x, y = generate(RngStream(60 + d), spec, 70, 50)
+        cfg = TestConfig(epsilon=eps, bound_m=spec.bound_m,
+                         threshold_kind=kind)
+        out = run_test(RngStream(21, d), x, y, cfg)
+
+        rng = RngStream(21, d)
+        sx = compute_summary(x, spec.bound_m)
+        sy = compute_summary(y, spec.bound_m)
+        ps = privatize_summaries(rng.substream(1), sx, sy,
+                                 PrivacyBudget.even_split(eps))
+        statistic = t_dp_statistic(ps)
+        if kind == BOOTSTRAP:
+            threshold = bootstrap_threshold(rng.substream(2), ps, cfg)
+        else:
+            threshold = asymptotic_threshold(cfg.alpha, d)
+        assert out.statistic == statistic
+        assert out.threshold == threshold
+        assert out.reject == (statistic > threshold)
+        assert run_on_summaries(RngStream(21, d), sx, sy, cfg) == out
+
+
+class TestStreamCount:
+    """Only streams that draw build a generator."""
+
+    @pytest.mark.parametrize("kind, expected", [(BOOTSTRAP, 5), (ASYMPTOTIC, 4)])
+    def test_run_test(self, philox_count, kind, expected):
+        # Four releases draw, and the bootstrap; the root stream and the
+        # privatization's parent stream only derive substreams.
+        x = np.linspace(-0.5, 0.5, 30).reshape(10, 3)
+        cfg = TestConfig(epsilon=1.0, bound_m=1.0, threshold_kind=kind)
+        run_test(RngStream(4), x, x[::-1], cfg)
+        assert len(philox_count) == expected

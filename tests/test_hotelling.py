@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from dphotelling.errors import SingularMatrixError
-from dphotelling.hotelling import (CLASSICAL, PRIVATE_CORRECTED, REWEIGHTED,
-                                   noise_correction, pooled_covariance,
+from dphotelling.hotelling import (PRIVATE_CORRECTED, pooled_covariance,
                                    private_pooled_covariance, t2_statistic,
                                    t_dp_statistic)
 from dphotelling.mechanisms import (PRIVACY_OFF, PrivacyBudget,
@@ -30,51 +29,21 @@ def _ps(mean_x, mean_y, cov_x, cov_y, n1, n2, m=1.0, eps=PRIVACY_OFF):
 class TestPooledCovariance:
     def test_equal_inputs_pass_through(self):
         s = np.array([[2.0, 0.5], [0.5, 1.0]])
-        for kind in (CLASSICAL, REWEIGHTED):
-            out = pooled_covariance(s, s, 7, 7, kind)
-            assert out.matrix == pytest.approx(s, abs=1e-15)
+        out = pooled_covariance(s, s, 7, 7)
+        assert out.matrix == pytest.approx(s, abs=1e-15)
 
     def test_classical_hand_case(self):
         # (2*1 + 4*2) / 6 = 5/3
-        out = pooled_covariance([[1.0]], [[2.0]], 3, 5, CLASSICAL)
+        out = pooled_covariance([[1.0]], [[2.0]], 3, 5)
         assert out.matrix[0, 0] == pytest.approx(5.0 / 3.0, abs=1e-15)
-
-    def test_reweighted_hand_case(self):
-        # (3*1 + 1*2) / 4 = 5/4
-        out = pooled_covariance([[1.0]], [[2.0]], 1, 3, REWEIGHTED)
-        assert out.matrix[0, 0] == pytest.approx(1.25, abs=1e-15)
 
     def test_classical_needs_three_observations(self):
         with pytest.raises(ValueError, match="3"):
-            pooled_covariance([[1.0]], [[1.0]], 1, 1, CLASSICAL)
+            pooled_covariance([[1.0]], [[1.0]], 1, 1)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="mismatch"):
             pooled_covariance(np.eye(2), np.eye(3), 5, 5)
-
-
-class TestNoiseCorrection:
-    def test_hand_case(self):
-        # m=1, d=1, n1=500, eps=4: c1 = 2 (0.004)^2 = 3.2e-5
-        nc = noise_correction(1.0, 1, 500, 500, 4.0)
-        assert nc.c1 == pytest.approx(3.2e-5, rel=1e-12)
-        assert nc.c1 == nc.c2
-
-    def test_privacy_off_vanishes(self):
-        nc = noise_correction(1.0, 3, 100, 200, PRIVACY_OFF)
-        assert nc.c1 == 0.0 and nc.c2 == 0.0 and nc.total == 0.0
-
-    def test_inverse_square_in_group_size(self):
-        a = noise_correction(1.0, 2, 100, 100, 1.0)
-        b = noise_correction(1.0, 2, 200, 100, 1.0)
-        assert b.c1 == pytest.approx(a.c1 / 4.0, rel=1e-12)
-        assert b.c2 == a.c2
-
-    def test_rejects_bad_inputs(self):
-        with pytest.raises(ValueError):
-            noise_correction(0.0, 1, 10, 10, 1.0)
-        with pytest.raises(ValueError):
-            noise_correction(1.0, 1, 10, 10, -1.0)
 
 
 class TestPrivatePooledCovariance:
@@ -85,7 +54,7 @@ class TestPrivatePooledCovariance:
         cov_y = np.eye(3)
         ps = _ps(np.zeros(3), np.zeros(3), cov_x, cov_y, 11, 13)
         out = private_pooled_covariance(ps)
-        ref = pooled_covariance(cov_x, cov_y, 11, 13, CLASSICAL)
+        ref = pooled_covariance(cov_x, cov_y, 11, 13)
         assert np.array_equal(out.matrix, ref.matrix)
         assert out.kind == PRIVATE_CORRECTED
 
@@ -102,9 +71,12 @@ class TestPrivatePooledCovariance:
     def test_matches_noise_correction_formula(self):
         ps = _ps([0.0], [0.0], [[1.0]], [[2.0]], 30, 60, m=1.5, eps=0.8)
         out = private_pooled_covariance(ps)
-        nc = noise_correction(1.5, 1, 30, 60, 0.8)
-        base = pooled_covariance([[1.0]], [[2.0]], 30, 60, CLASSICAL)
-        assert out.matrix[0, 0] == base.matrix[0, 0] + nc.total
+        # c_i = 2 (2md / (n_i eps/4))^2, the variance of each mean's noise.
+        b1 = 2.0 * 1.5 * 1 / (30 * (0.8 / 4.0))
+        b2 = 2.0 * 1.5 * 1 / (60 * (0.8 / 4.0))
+        base = pooled_covariance([[1.0]], [[2.0]], 30, 60)
+        assert out.matrix[0, 0] == base.matrix[0, 0] + (2.0 * b1 * b1
+                                                        + 2.0 * b2 * b2)
 
     def test_smallest_eigenvalue_at_least_shift(self):
         gen = np.random.default_rng(5)
@@ -114,9 +86,12 @@ class TestPrivatePooledCovariance:
             by = gen.standard_normal((d, d))
             ps = _ps(np.zeros(d), np.zeros(d), bx @ bx.T, by @ by.T,
                      20, 30, m=1.0, eps=float(gen.uniform(0.2, 2.0)))
-            nc = noise_correction(1.0, d, 20, 30, ps.budget.epsilon_total)
+            eps = ps.budget.epsilon_total
+            b1 = 2.0 * 1.0 * d / (20 * (eps / 4.0))
+            b2 = 2.0 * 1.0 * d / (30 * (eps / 4.0))
+            shift = 2.0 * b1 * b1 + 2.0 * b2 * b2
             w = symmetric_eigen(private_pooled_covariance(ps).matrix).eigenvalues
-            assert w[-1] >= nc.total - 1e-10
+            assert w[-1] >= shift - 1e-10
 
 
 class TestT2Statistic:

@@ -198,30 +198,3 @@ class TestPsdSqrt:
     def test_clamps_tiny_negative(self):
         r = numlin.psd_sqrt(np.diag([1.0, -1e-14]))
         assert r[1, 1] == 0.0
-
-
-class TestQuadraticForm:
-    def test_zero_vector(self):
-        assert numlin.quadratic_form(np.zeros(3), np.eye(3)) == 0.0
-
-    def test_unit_vector_identity(self):
-        assert numlin.quadratic_form([1.0, 0.0], np.eye(2)) == 1.0
-
-    def test_hand_case(self):
-        # (1,2) [[2,1],[1,2]] (1,2)^T = 2 + 2 + 2 + 8 = 14
-        val = numlin.quadratic_form([1.0, 2.0], [[2.0, 1.0], [1.0, 2.0]])
-        assert val == pytest.approx(14.0, abs=1e-12)
-
-    def test_psd_nonnegative(self):
-        gen = np.random.default_rng(11)
-        for _ in range(100):
-            d = int(gen.integers(1, 6))
-            b = gen.standard_normal((d, d))
-            a = b @ b.T
-            x = gen.standard_normal(d)
-            val = numlin.quadratic_form(x, a)
-            assert val >= -1e-12 * np.linalg.norm(a) * float(x @ x)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="mismatch"):
-            numlin.quadratic_form(np.ones(3), np.eye(2))

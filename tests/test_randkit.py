@@ -7,7 +7,7 @@ from dphotelling import randkit
 from dphotelling.errors import ConvergenceError, SamplerStallError
 from dphotelling.randkit import (RngStream, chi2_cdf, chi2_quantile,
                                  sample_bingham_vector, sample_laplace,
-                                 sample_mvn, sample_std_normal, solve_b)
+                                 solve_b)
 from oracles import (angular_inverse_cdf_samples, angular_mean_abs_cos,
                      chi2_cdf_oracle, chi2_quantile_oracle, ks_statistic_vec,
                      ks_two_sample, laplace_cdf)
@@ -37,6 +37,25 @@ class TestRngStream:
         b = RngStream(5, 0).substream(1).generator.standard_normal(10)
         assert not np.array_equal(a, b)
 
+    def test_draws_do_not_depend_on_when_the_generator_is_built(self):
+        # Read first: the generator exists before any substream.
+        early = RngStream(8, 2)
+        head = early.generator.standard_normal(5)
+        early_child = early.substream(4).generator.standard_normal(5)
+        tail = early.generator.standard_normal(5)
+        # Read last: substreams derived (and drawn from) before the parent
+        # builds its generator.
+        late = RngStream(8, 2)
+        late_child = late.substream(4).generator.standard_normal(5)
+        late.substream(1, 3)
+        both = late.generator.standard_normal(10)
+        assert np.concatenate([head, tail]).tobytes() == both.tobytes()
+        assert early_child.tobytes() == late_child.tobytes()
+
+    def test_generator_is_built_once(self):
+        rng = RngStream(3)
+        assert rng.generator is rng.generator
+
 
 class TestLaplace:
     def test_moments_against_analytic(self):
@@ -59,33 +78,6 @@ class TestLaplace:
 
     def test_single_draw_is_float(self):
         assert isinstance(sample_laplace(RngStream(0), 1.0), float)
-
-
-class TestNormal:
-    def test_std_normal_moments(self):
-        draws = sample_std_normal(RngStream(1), size=10**6)
-        assert abs(draws.mean()) <= 4.0 / 1000.0
-        assert draws.var() == pytest.approx(1.0, abs=0.01)
-
-    def test_mvn_zero_cov_is_zero(self):
-        for _ in range(10):
-            assert np.array_equal(sample_mvn(RngStream(2), np.zeros((3, 3))),
-                                  np.zeros(3))
-
-    def test_mvn_identity_cov(self):
-        draws = sample_mvn(RngStream(3), np.eye(2), size=10**5)
-        emp = np.cov(draws.T)
-        assert np.max(np.abs(emp - np.eye(2))) <= 0.05
-
-    def test_mvn_correlated_cov(self):
-        cov = np.array([[2.0, 1.0], [1.0, 2.0]])
-        draws = sample_mvn(RngStream(4), cov, size=10**5)
-        emp = np.cov(draws.T)
-        assert np.max(np.abs(emp - cov)) <= 0.05
-
-    def test_mvn_rejects_asymmetric(self):
-        with pytest.raises(ValueError, match="symmetric"):
-            sample_mvn(RngStream(0), [[1.0, 0.5], [0.0, 1.0]])
 
 
 class TestChi2:

@@ -6,6 +6,7 @@ import pytest
 from dphotelling.decision import ASYMPTOTIC, BOOTSTRAP
 from dphotelling.errors import BoundViolationError
 from dphotelling.randkit import RngStream
+from dphotelling import simbench
 from dphotelling.simbench import (CellSpec, DesignSpec, example32_cells,
                                   generate, power_cells, power_curve,
                                   read_table_csv, run_grid, table1_cells,
@@ -256,3 +257,13 @@ class TestPowerCurve:
         rate = null_table.rows[0].reject_rate
         sigma = math.sqrt(0.05 * 0.95 / 300)
         assert 0.05 - 3 * sigma <= rate <= 0.05 + 3 * sigma
+
+
+class TestReplicateStreamCount:
+    @pytest.mark.parametrize("kind, expected", [(BOOTSTRAP, 6), (ASYMPTOTIC, 5)])
+    def test_only_drawing_streams_are_built(self, philox_count, kind, expected):
+        # The data, the four releases and (bootstrap rule only) the
+        # resampling draw; the master, replication and test streams do not.
+        cell = CellSpec(DesignSpec("uniform_cube", 2), eps=1.0, n=40, kind=kind)
+        simbench._replicate(3, 0, 5, cell, 0.05, 200)
+        assert len(philox_count) == expected

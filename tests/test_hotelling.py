@@ -46,6 +46,39 @@ class TestPooledCovariance:
             pooled_covariance(np.eye(2), np.eye(3), 5, 5)
 
 
+def _correction(m, d, n1, n2, eps):
+    """c1 + c2 that private_pooled_covariance adds on the diagonal."""
+    zero = np.zeros((d, d))
+    ps = _ps(np.zeros(d), np.zeros(d), zero, zero, n1, n2, m=m, eps=eps)
+    mat = private_pooled_covariance(ps).matrix
+    assert np.array_equal(mat, mat[0, 0] * np.eye(d))
+    return float(mat[0, 0])
+
+
+class TestNoiseCorrection:
+    def test_hand_case(self):
+        # m=1, d=1, n1=n2=500, eps=4: c1 = c2 = 2 (0.004)^2 = 3.2e-5
+        assert _correction(1.0, 1, 500, 500, 4.0) == pytest.approx(
+            6.4e-5, rel=1e-12)
+
+    def test_privacy_off_vanishes(self):
+        assert _correction(1.0, 3, 100, 200, PRIVACY_OFF) == 0.0
+
+    def test_inverse_square_in_group_size(self):
+        # c(100) + c(100) = 2a; c(200) + c(100) = a/4 + a; c(200) * 2 = a/2.
+        a2 = _correction(1.0, 2, 100, 100, 1.0)
+        assert _correction(1.0, 2, 200, 100, 1.0) == pytest.approx(
+            a2 * 1.25 / 2.0, rel=1e-12)
+        assert _correction(1.0, 2, 200, 200, 1.0) == pytest.approx(
+            a2 / 4.0, rel=1e-12)
+
+    def test_rejects_bad_inputs(self):
+        with pytest.raises(ValueError):
+            _correction(1.0, 1, 0, 10, 1.0)
+        with pytest.raises(ValueError):
+            _correction(1.0, 1, 10, 10, -1.0)
+
+
 class TestPrivatePooledCovariance:
     def test_privacy_off_equals_classical(self):
         gen = np.random.default_rng(0)

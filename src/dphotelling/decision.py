@@ -8,10 +8,10 @@ No additional privacy budget is consumed.
 
 ``run_on_summaries`` is the one pipeline entry after the summaries:
 ``run_test``, the CLI's ``test`` and ``calibrate`` and the Monte Carlo
-bench all reach it. It privatizes once, forms and whitens the corrected
-pooled matrix once for both the statistic and the bootstrap, and skips the
-checks that the summaries, the budget and the configuration already made.
-The public ``bootstrap_threshold`` keeps its own checks and whitening.
+bench all reach it. It privatizes once and whitens the corrected pooled
+matrix once, passing the whitener to both the statistic and
+``bootstrap_threshold``. Nothing downstream re-checks what the summaries,
+the budget and ``TestConfig`` checked when they were built.
 """
 
 from __future__ import annotations
@@ -109,30 +109,20 @@ def quantile_index(alpha: float, b: int) -> int:
 
 
 def bootstrap_threshold(rng: randkit.RngStream, ps: PrivatizedSummary,
-                        cfg: TestConfig) -> float:
+                        cfg: TestConfig, whitener: np.ndarray) -> float:
     """Empirical (1 - alpha) threshold from B resampled statistics.
 
     Each replicate draws means from N(0, cov_dp / n_i), adds fresh Laplace
     noise at the original release scales, and evaluates the statistic with
-    the same corrected pooled matrix used for the observed statistic. The
+    ``whitener``, the inverse root of the corrected pooled matrix that the
+    observed statistic used (``hotelling.private_whitener(ps)``). The
     replicates are sorted, so the result does not depend on their order.
     """
-    if math.floor((1.0 - cfg.alpha) * cfg.bootstrap_b) < 1:
-        raise ValueError("bootstrap_b too small for requested alpha")
-    pooled = hotelling.private_pooled_covariance(ps)
-    inv_root = numlin.inverse_sqrt_psd(pooled.matrix,
-                                       floor=hotelling._CORRECTED_FLOOR)
-    return _bootstrap_threshold(rng, ps, cfg, inv_root)
-
-
-def _bootstrap_threshold(rng: randkit.RngStream, ps: PrivatizedSummary,
-                         cfg: TestConfig, inv_root: np.ndarray) -> float:
-    """``bootstrap_threshold`` given the inverse root of the corrected pool."""
     b = cfg.bootstrap_b
     d = ps.dim
     # PrivatizedSummary holds symmetric covariances, so cov / n is too.
-    root_x = numlin._psd_sqrt(ps.cov_x_dp / ps.n1)
-    root_y = numlin._psd_sqrt(ps.cov_y_dp / ps.n2)
+    root_x = numlin.psd_sqrt(ps.cov_x_dp / ps.n1)
+    root_y = numlin.psd_sqrt(ps.cov_y_dp / ps.n2)
 
     gen = rng.generator
     x_star = gen.standard_normal((b, d)) @ root_x
@@ -144,7 +134,7 @@ def _bootstrap_threshold(rng: randkit.RngStream, ps: PrivatizedSummary,
     if scale_y > 0.0:
         y_star = y_star + gen.laplace(0.0, scale_y, size=(b, d))
 
-    z = (x_star - y_star) @ inv_root
+    z = (x_star - y_star) @ whitener
     stats = (ps.n1 * ps.n2 / (ps.n1 + ps.n2)) * np.sum(z * z, axis=1)
     stats.sort()
     return float(stats[quantile_index(cfg.alpha, b) - 1])
@@ -162,13 +152,13 @@ def run_on_summaries(rng: randkit.RngStream, sx: SampleSummary,
     budget = PrivacyBudget.even_split(cfg.epsilon)
     ps = privatize_summaries(rng.substream(1), sx, sy, budget)
 
-    inv_root = hotelling._private_whitener(ps)
-    statistic = hotelling._whitened_t2(inv_root, ps.mean_x_dp, ps.mean_y_dp,
+    whitener = hotelling.private_whitener(ps)
+    statistic = hotelling._whitened_t2(whitener, ps.mean_x_dp, ps.mean_y_dp,
                                        ps.n1, ps.n2)
     if cfg.threshold_kind == ASYMPTOTIC:
         threshold = asymptotic_threshold(cfg.alpha, ps.dim)
     else:
-        threshold = _bootstrap_threshold(rng.substream(2), ps, cfg, inv_root)
+        threshold = bootstrap_threshold(rng.substream(2), ps, cfg, whitener)
 
     return TestOutcome(
         statistic=statistic,

@@ -10,6 +10,12 @@ not re-derive sensitivity proofs.
 ``PRIVACY_OFF`` (infinity) is a testing-only sentinel: every mechanism
 degenerates to the identity, so the pipeline can be checked against its
 non-private counterpart.
+
+Inputs are checked where they enter: ``compute_summary`` and
+``SampleSummary`` check the data, n, m, the mean bound and the covariance's
+symmetry; ``PrivacyBudget`` checks every part; ``PrivatizedSummary`` checks
+the releases and their metadata. The releases take a ``SampleSummary`` and
+check only their scalar budget part.
 """
 
 from __future__ import annotations
@@ -124,7 +130,8 @@ class SampleSummary:
 class PrivatizedSummary:
     """The four private releases plus the public metadata that scaled them.
 
-    Every released entry must be finite; the covariances symmetric.
+    Every released entry must be finite, the covariances symmetric, and all
+    four of one dimension; the group sizes and the bound must be positive.
     """
 
     mean_x_dp: np.ndarray
@@ -137,6 +144,10 @@ class PrivatizedSummary:
     bound_m: float
 
     def __post_init__(self):
+        if self.n1 < 1 or self.n2 < 1:
+            raise ValueError("group sizes must be positive")
+        if not self.bound_m > 0.0:
+            raise ValueError("bound_m must be positive")
         object.__setattr__(self, "mean_x_dp", _frozen(np.asarray(self.mean_x_dp).reshape(-1)))
         object.__setattr__(self, "mean_y_dp", _frozen(np.asarray(self.mean_y_dp).reshape(-1)))
         object.__setattr__(self, "cov_x_dp", _frozen(numlin.as_symmetric(self.cov_x_dp)))
@@ -144,6 +155,13 @@ class PrivatizedSummary:
         for name in ("mean_x_dp", "mean_y_dp", "cov_x_dp", "cov_y_dp"):
             if not np.isfinite(getattr(self, name)).all():
                 raise ValueError(f"{name} has a non-finite entry")
+        d = self.dim
+        shapes = (self.mean_y_dp.shape, self.cov_x_dp.shape, self.cov_y_dp.shape)
+        if shapes != ((d,), (d, d), (d, d)):
+            raise ValueError(
+                f"release dimensions disagree: mean_x_dp has {d}, "
+                f"mean_y_dp, cov_x_dp, cov_y_dp have shapes {shapes}"
+            )
 
     @property
     def dim(self) -> int:
@@ -197,46 +215,32 @@ def compute_summary(data, m: float, clamp: bool = False) -> SampleSummary:
     return SampleSummary(n=n, mean=mean, cov=cov, bound_m=float(m))
 
 
-def privatize_mean(rng: randkit.RngStream, mean, n: int, m: float,
+def privatize_mean(rng: randkit.RngStream, s: SampleSummary,
                    eps_part: float) -> np.ndarray:
-    """Laplace mechanism for a d-dimensional mean of n cube-bounded rows.
+    """Laplace mechanism for the d-dimensional mean of a group summary.
 
     Adds i.i.d. Laplace(0, 2md/(n * eps_part)) per coordinate. The
     privacy-off sentinel returns the mean unchanged.
     """
-    mean = np.asarray(mean, dtype=float).reshape(-1)
     _check_eps(eps_part, "eps_part")
-    if n < 1:
-        raise ValueError("n must be positive")
-    if not m > 0.0:
-        raise ValueError("bound m must be positive")
-    if np.max(np.abs(mean)) > m + _BOUND_SLACK * (1.0 + m):
-        raise BoundViolationError(
-            f"mean coordinate outside [-{m}, {m}]: noise calibration invalid"
-        )
-    return _privatize_mean(rng, mean, n, m, eps_part)
-
-
-def _privatize_mean(rng: randkit.RngStream, mean: np.ndarray, n: int,
-                    m: float, eps_part: float) -> np.ndarray:
-    """``privatize_mean`` of a float vector whose checks already passed."""
-    d = mean.shape[0]
-    scale = laplace_mean_scale(n, m, d, eps_part)
+    d = s.dim
+    scale = laplace_mean_scale(s.n, s.bound_m, d, eps_part)
     if scale == 0.0:
-        return mean.copy()
-    return mean + randkit.sample_laplace(rng, scale, size=d)
+        return s.mean.copy()
+    return s.mean + randkit.sample_laplace(rng, scale, size=d)
 
 
-def ed_covariance(rng: randkit.RngStream, cov_hat, n: int, m: float,
+def ed_covariance(rng: randkit.RngStream, s: SampleSummary,
                   eps_part: float) -> np.ndarray:
     """Private covariance release via noised eigenvalues and sampled eigenvectors.
 
-    The input is rescaled to C = n cov_hat / (d m^2) so that it behaves like
-    a Gram matrix of unit-bounded rows. Each eigenvalue receives Laplace
-    noise of scale 2 / eps_step and is folded by absolute value; an
-    orthonormal eigenbasis is rebuilt one direction at a time by sampling
-    from the exponential-mechanism density exp((eps_step/4) u^T C u) on the
-    sphere of the remaining subspace (Amin et al. 2019). Here
+    The summary's covariance cov_hat is rescaled to C = n cov_hat / (d m^2)
+    so that it behaves like a Gram matrix of unit-bounded rows. Each
+    eigenvalue receives Laplace noise of scale 2 / eps_step and is folded
+    by absolute value; an orthonormal eigenbasis is rebuilt one direction
+    at a time by sampling from the exponential-mechanism density
+    exp((eps_step/4) u^T C u) on the sphere of the remaining subspace (Amin
+    et al. 2019). Here
     eps_step = eps_part / (d + 1), except in one dimension where the whole
     budget goes to the single eigenvalue and no direction needs sampling.
     The reconstruction sum_i lam_i v_i v_i^T is unscaled by d m^2 / n, so
@@ -249,27 +253,17 @@ def ed_covariance(rng: randkit.RngStream, cov_hat, n: int, m: float,
     direction on the unit sphere of the subspace depends on the subspace
     only, not on the basis that represents it, so the basis choice changes
     which draw maps to which direction but neither the distribution of the
-    release nor the budget it spends. ``cov_hat`` is validated once; the
-    eigendecompositions of C and of each step skip the symmetry check.
+    release nor the budget it spends. The summary checked cov_hat once; the
+    eigendecompositions of C and of each step do not check it again.
 
     Always returns a symmetric PSD matrix. Under the privacy-off sentinel
     the exact eigenvalues and eigenvectors are kept, so the release equals
     cov_hat up to recomposition round-off.
     """
     _check_eps(eps_part, "eps_part")
-    if n < 1:
-        raise ValueError("n must be positive")
-    if not m > 0.0:
-        raise ValueError("bound m must be positive")
-    return _ed_covariance(rng, numlin.as_symmetric(cov_hat), n, m, eps_part)
-
-
-def _ed_covariance(rng: randkit.RngStream, cov_hat: np.ndarray, n: int,
-                   m: float, eps_part: float) -> np.ndarray:
-    """``ed_covariance`` of a symmetric float64 matrix whose checks passed."""
-    d = cov_hat.shape[0]
-    scaled = (n / (d * m * m)) * cov_hat
-    dec = numlin._eigen(scaled)
+    n, m, d = s.n, s.bound_m, s.dim
+    scaled = (n / (d * m * m)) * s.cov
+    dec = numlin.symmetric_eigen(scaled)
     lam_hat = dec.eigenvalues
     psd_tol = 1e-10 * max(1.0, float(np.linalg.norm(scaled)))
     if lam_hat[-1] < -psd_tol:
@@ -297,9 +291,9 @@ def _ed_covariance(rng: randkit.RngStream, cov_hat: np.ndarray, n: int,
     p_rows = np.eye(d)
     for i in range(d):
         ctil = p_rows @ scaled @ p_rows.T
-        # Validated once above; only round-off asymmetry to remove here.
+        # Validated once in the summary; only round-off asymmetry to remove.
         ctil = 0.5 * (ctil + ctil.T)
-        u = randkit._sample_bingham(rng, numlin._eigen(ctil), eps_step)
+        u = randkit.sample_bingham_vector(rng, ctil, eps_step)
         directions[:, i] = p_rows.T @ u
         if i < d - 1:
             # Householder reflection H = I - 2 v v^T maps u to -sign(u_0) e_1,
@@ -331,16 +325,13 @@ def privatize_summaries(rng: randkit.RngStream, sx: SampleSummary,
             f"budget audit failed: parts sum to {total!r}, "
             f"expected {budget.epsilon_total!r}"
         )
-    # The summaries and the budget validated n, m, the mean bound, the
-    # symmetry of each covariance and every budget part on construction.
-    m = sx.bound_m
     return PrivatizedSummary(
-        mean_x_dp=_privatize_mean(rng.substream(0), sx.mean, sx.n, m, budget.mean_x),
-        mean_y_dp=_privatize_mean(rng.substream(1), sy.mean, sy.n, m, budget.mean_y),
-        cov_x_dp=_ed_covariance(rng.substream(2), sx.cov, sx.n, m, budget.cov_x),
-        cov_y_dp=_ed_covariance(rng.substream(3), sy.cov, sy.n, m, budget.cov_y),
+        mean_x_dp=privatize_mean(rng.substream(0), sx, budget.mean_x),
+        mean_y_dp=privatize_mean(rng.substream(1), sy, budget.mean_y),
+        cov_x_dp=ed_covariance(rng.substream(2), sx, budget.cov_x),
+        cov_y_dp=ed_covariance(rng.substream(3), sy, budget.cov_y),
         budget=budget,
         n1=sx.n,
         n2=sy.n,
-        bound_m=m,
+        bound_m=sx.bound_m,
     )

@@ -5,6 +5,11 @@ hundred) represented as plain numpy arrays. All functions are pure and
 deterministic: the eigensolver is LAPACK's symmetric driver behind a fixed
 eigenvalue order and eigenvector sign convention, so identical inputs give
 identical outputs under the same numpy/LAPACK build.
+
+``as_symmetric`` is the one symmetry check. The types and functions that
+admit a matrix from outside call it once; the kernels below it take a
+square symmetric float64 array and do not check it again. The module is
+internal to the package and not exported.
 """
 
 from __future__ import annotations
@@ -55,7 +60,7 @@ class EigenDecomposition:
     eigenvectors: np.ndarray
 
 
-def symmetric_eigen(a) -> EigenDecomposition:
+def symmetric_eigen(a: np.ndarray) -> EigenDecomposition:
     """Eigendecomposition of a symmetric matrix by LAPACK (``np.linalg.eigh``).
 
     Eigenvalues are reordered descending by a stable sort, so tied
@@ -64,11 +69,6 @@ def symmetric_eigen(a) -> EigenDecomposition:
     A 1x1 input is returned directly. Raises ConvergenceError if LAPACK
     fails or any output is non-finite (e.g. the input holds NaN or inf).
     """
-    return _eigen(as_symmetric(a))
-
-
-def _eigen(a: np.ndarray) -> EigenDecomposition:
-    """``symmetric_eigen`` of a float64 matrix the caller knows is symmetric."""
     d = a.shape[0]
     if d == 1:
         w = a[0].copy()
@@ -93,21 +93,15 @@ def _eigen(a: np.ndarray) -> EigenDecomposition:
     return EigenDecomposition(eigenvalues=w, eigenvectors=v)
 
 
-def inverse_sqrt_psd(a, floor: float = 1e-12) -> np.ndarray:
+def inverse_sqrt_psd(a: np.ndarray, floor: float) -> np.ndarray:
     """Inverse symmetric square root of a PSD matrix with eigenvalue floor.
 
-    Returns V diag(max(w, floor))^(-1/2) V^T. Tiny negative eigenvalues
-    from round-off are tolerated; with ``floor == 0`` a non-positive
-    eigenvalue raises SingularMatrixError instead of being clamped.
+    Returns V diag(max(w, floor))^(-1/2) V^T for a ``floor >= 0``. Tiny
+    negative eigenvalues from round-off are tolerated; with ``floor == 0``
+    a non-positive eigenvalue raises SingularMatrixError instead of being
+    clamped.
     """
-    if floor < 0.0:
-        raise ValueError("floor must be nonnegative")
-    return _inverse_sqrt_psd(as_symmetric(a), floor)
-
-
-def _inverse_sqrt_psd(a: np.ndarray, floor: float) -> np.ndarray:
-    """``inverse_sqrt_psd`` of a symmetric float64 matrix, given floor >= 0."""
-    dec = _eigen(a)
+    dec = symmetric_eigen(a)
     w = dec.eigenvalues
     tol = 1e-10 * max(1.0, float(np.linalg.norm(a)))
     if w[-1] < -tol:
@@ -124,14 +118,9 @@ def _inverse_sqrt_psd(a: np.ndarray, floor: float) -> np.ndarray:
     return 0.5 * (out + out.T)
 
 
-def psd_sqrt(a) -> np.ndarray:
+def psd_sqrt(a: np.ndarray) -> np.ndarray:
     """Symmetric PSD square root; negative round-off eigenvalues clamp to 0."""
-    return _psd_sqrt(as_symmetric(a))
-
-
-def _psd_sqrt(a: np.ndarray) -> np.ndarray:
-    """``psd_sqrt`` of a float64 matrix the caller knows is symmetric."""
-    dec = _eigen(a)
+    dec = symmetric_eigen(a)
     w = np.maximum(dec.eigenvalues, 0.0)
     v = dec.eigenvectors
     out = (v * np.sqrt(w)) @ v.T

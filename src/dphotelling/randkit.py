@@ -230,7 +230,8 @@ def solve_b(lambdas) -> float:
 _MAX_PROPOSALS = 10**6
 
 
-def sample_bingham_vector(rng: RngStream, c, eps_step: float) -> np.ndarray:
+def sample_bingham_vector(rng: RngStream, c: np.ndarray,
+                          eps_step: float) -> np.ndarray:
     """Draw a unit q-vector with density proportional to exp((eps_step/4) u^T C u).
 
     Rejection sampler with an angular-central-Gaussian envelope: with
@@ -240,16 +241,12 @@ def sample_bingham_vector(rng: RngStream, c, eps_step: float) -> np.ndarray:
     M = exp(-(q-b)/2) (q/b)^{q/2}. Writing s = u^T A u, the ratio is
     exp(-s)(1 + 2s/b)^{q/2} / M, and M is exactly the maximum of the
     numerator over s >= 0, so the ratio is a true probability; it equals 1
-    identically when C is isotropic.
+    identically when C is isotropic. ``c`` must be a symmetric float64
+    array (see ``numlin.as_symmetric``); it is not checked here.
     """
     if not eps_step > 0.0:
         raise ValueError(f"eps_step must be positive, got {eps_step}")
-    return _sample_bingham(rng, numlin.symmetric_eigen(c), eps_step)
-
-
-def _sample_bingham(rng: RngStream, dec: numlin.EigenDecomposition,
-                    eps_step: float) -> np.ndarray:
-    """``sample_bingham_vector`` given C's eigendecomposition and a valid eps_step."""
+    dec = numlin.symmetric_eigen(c)
     mu = dec.eigenvalues  # descending
     q = mu.shape[0]
     spread = float(mu[0] - mu[-1])

@@ -9,14 +9,25 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 
 @pytest.fixture
-def philox_count(monkeypatch):
+def call_count(monkeypatch):
+    """``count(owner, name)`` returns a list that grows by one per call of
+    ``owner.name`` made after it, through attribute lookup on ``owner``."""
+
+    def count(owner, name):
+        calls = []
+        fn = getattr(owner, name)
+
+        def counting(*args, **kwargs):
+            calls.append(None)
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counting)
+        return calls
+
+    return count
+
+
+@pytest.fixture
+def philox_count(call_count):
     """List that grows by one per Philox bit generator built after the fixture."""
-    built = []
-    philox = np.random.Philox
-
-    def counting(*args, **kwargs):
-        built.append(None)
-        return philox(*args, **kwargs)
-
-    monkeypatch.setattr(np.random, "Philox", counting)
-    return built
+    return call_count(np.random, "Philox")

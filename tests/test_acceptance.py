@@ -97,8 +97,7 @@ def test_criterion_08_covariance_release_consistency():
             rng = RngStream(42).substream(n, rep)
             x, _ = generate(rng.substream(0), spec, n, n)
             s = compute_summary(x, spec.bound_m)
-            out = ed_covariance(rng.substream(1), s.cov, s.n, spec.bound_m,
-                                0.25)
+            out = ed_covariance(rng.substream(1), s, 0.25)
             errs.append(np.linalg.norm(out - np.eye(3)))
         medians.append(float(np.median(errs)))
     ok = medians[0] > medians[1] > medians[2] and medians[2] <= 0.1

@@ -1,10 +1,16 @@
 """The package's export list: every name resolves, once, and none is stale."""
 
+import ast
+import importlib
+import pkgutil
+from pathlib import Path
+
 import dphotelling
 
 # Public names deleted because no pipeline, CLI or bench code used them.
 DELETED = ("REWEIGHTED", "NoiseCorrection", "noise_correction",
-           "quadratic_form", "sample_mvn", "sample_std_normal")
+           "quadratic_form", "sample_mvn", "sample_std_normal",
+           "PooledCovariance")
 
 
 def test_every_exported_name_resolves():
@@ -32,3 +38,38 @@ def test_deleted_names_gone_from_their_modules():
     assert not hasattr(randkit, "sample_mvn")
     assert not hasattr(randkit, "sample_std_normal")
     assert not hasattr(simbench.RejectionTable, "to_csv")
+    for name in ("PooledCovariance", "CLASSICAL", "PRIVATE_CORRECTED",
+                 "_private_whitener"):
+        assert not hasattr(hotelling, name), name
+    assert not hasattr(numlin, "_eigen")
+    assert not hasattr(randkit, "_sample_bingham")
+
+
+def test_unchecked_sampler_not_exported():
+    # sample_bingham_vector does not check that its matrix is symmetric.
+    assert "sample_bingham_vector" not in dphotelling.__all__
+
+
+def _top_level_names(module) -> set:
+    tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names.update(t.id for t in node.targets if isinstance(t, ast.Name))
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names.add(node.target.id)
+    return names
+
+
+def test_no_module_defines_a_name_and_its_private_twin():
+    # One function per operation: a checked ``f`` wrapped around an
+    # unchecked ``_f`` is two homes for one formula.
+    twins = []
+    for info in pkgutil.iter_modules(dphotelling.__path__):
+        module = importlib.import_module(f"dphotelling.{info.name}")
+        names = _top_level_names(module)
+        twins += [f"{info.name}.{name}" for name in sorted(names)
+                  if "_" + name in names]
+    assert twins == []

@@ -11,6 +11,7 @@ from dphotelling import cli, randkit
 from dphotelling.decision import (TestConfig, asymptotic_threshold,
                                   bootstrap_threshold)
 from dphotelling.errors import NumericalError
+from dphotelling.hotelling import private_whitener
 from dphotelling.mechanisms import (PrivacyBudget, compute_summary,
                                     privatize_summaries)
 from dphotelling.randkit import chi2_quantile
@@ -434,7 +435,8 @@ class TestCmdCalibrate:
         ps = privatize_summaries(rng.substream(1), sx, sy,
                                  PrivacyBudget.even_split(1.0))
         cfg = TestConfig(epsilon=1.0, bound_m=1.0, alpha=0.1, bootstrap_b=150)
-        q_star = bootstrap_threshold(rng.substream(2), ps, cfg)
+        q_star = bootstrap_threshold(rng.substream(2), ps, cfg,
+                                     private_whitener(ps))
         q_chi2 = asymptotic_threshold(0.1, 3)
         assert out == (
             f"bootstrap threshold : {q_star:.10g} (order statistic 135 of 150)\n"

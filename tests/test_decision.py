@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from dphotelling import numlin
 from dphotelling.decision import (ASYMPTOTIC, BOOTSTRAP, TestConfig,
                                   asymptotic_threshold, bootstrap_threshold,
                                   quantile_index, run_on_summaries, run_test)
-from dphotelling.hotelling import t_dp_statistic
+from dphotelling.hotelling import private_whitener, t_dp_statistic
 from dphotelling.mechanisms import (PRIVACY_OFF, PrivacyBudget,
                                     PrivatizedSummary, compute_summary,
                                     privatize_summaries)
@@ -69,7 +70,8 @@ class TestBootstrapThreshold:
             budget=PrivacyBudget.even_split(PRIVACY_OFF),
             n1=10, n2=10, bound_m=1.0)
         cfg = TestConfig(epsilon=PRIVACY_OFF, bound_m=1.0, bootstrap_b=50)
-        assert bootstrap_threshold(RngStream(0), ps, cfg) == 0.0
+        assert bootstrap_threshold(RngStream(0), ps, cfg,
+                                   private_whitener(ps)) == 0.0
 
     def test_deterministic_in_stream(self):
         gen = np.random.default_rng(1)
@@ -78,8 +80,8 @@ class TestBootstrapThreshold:
         ps = privatize_summaries(RngStream(5), sx, sy,
                                  PrivacyBudget.even_split(1.0))
         cfg = TestConfig(epsilon=1.0, bound_m=1.0)
-        a = bootstrap_threshold(RngStream(9), ps, cfg)
-        b = bootstrap_threshold(RngStream(9), ps, cfg)
+        a = bootstrap_threshold(RngStream(9), ps, cfg, private_whitener(ps))
+        b = bootstrap_threshold(RngStream(9), ps, cfg, private_whitener(ps))
         assert a == b
 
     def test_large_sample_approaches_chi2(self):
@@ -93,7 +95,8 @@ class TestBootstrapThreshold:
         ps = privatize_summaries(rng.substream(1), sx, sy,
                                  PrivacyBudget.even_split(5.0))
         cfg = TestConfig(epsilon=5.0, bound_m=spec.bound_m, bootstrap_b=2000)
-        q_star = bootstrap_threshold(rng.substream(2), ps, cfg)
+        q_star = bootstrap_threshold(rng.substream(2), ps, cfg,
+                                     private_whitener(ps))
         assert abs(q_star - chi2_quantile(0.95, 1)) <= 0.3
 
 
@@ -197,7 +200,7 @@ class TestLevelAndConsistency:
 class TestPipelineEntry:
     """``run_test`` against the composition of the public functions.
 
-    The pipeline whitens once and skips repeated checks; its output must be
+    The pipeline whitens once and shares the whitener; its output must be
     the same bits as the public functions' composition, compared with ==.
     """
 
@@ -218,13 +221,42 @@ class TestPipelineEntry:
                                  PrivacyBudget.even_split(eps))
         statistic = t_dp_statistic(ps)
         if kind == BOOTSTRAP:
-            threshold = bootstrap_threshold(rng.substream(2), ps, cfg)
+            threshold = bootstrap_threshold(rng.substream(2), ps, cfg,
+                                            private_whitener(ps))
         else:
             threshold = asymptotic_threshold(cfg.alpha, d)
         assert out.statistic == statistic
         assert out.threshold == threshold
         assert out.reject == (statistic > threshold)
         assert run_on_summaries(RngStream(21, d), sx, sy, cfg) == out
+
+
+class TestHotPathCalls:
+    """Calls one ``run_test`` makes into the linear-algebra kernels.
+
+    Each covariance is checked for symmetry once, where it enters a
+    ``SampleSummary`` or the ``PrivatizedSummary``: 4 checks whatever d.
+    At d >= 2 each ED release decomposes C and the d - 1 subspace matrices
+    of two or more rows (a 1x1 one needs no LAPACK call), the whitener
+    adds one decomposition and the bootstrap's two square roots two more:
+    2d + 3 calls of eigh, 2d + 1 under the asymptotic rule.
+    """
+
+    @pytest.mark.parametrize("d", [1, 2, 30])
+    @pytest.mark.parametrize("kind", [BOOTSTRAP, ASYMPTOTIC])
+    def test_run_test(self, call_count, d, kind):
+        spec = DesignSpec("uniform_cube", d, a=0.2)
+        x, y = generate(RngStream(70 + d), spec, 60, 50)
+        cfg = TestConfig(epsilon=1.0, bound_m=spec.bound_m,
+                         threshold_kind=kind)
+        checks = call_count(numlin, "as_symmetric")
+        eighs = call_count(np.linalg, "eigh")
+        run_test(RngStream(22, d), x, y, cfg)
+        assert len(checks) == 4
+        if d == 1:
+            assert len(eighs) == 0
+        else:
+            assert len(eighs) == 2 * d + (3 if kind == BOOTSTRAP else 1)
 
 
 class TestStreamCount:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dphotelling.errors import SingularMatrixError
-from dphotelling.hotelling import (PRIVATE_CORRECTED, pooled_covariance,
+from dphotelling.hotelling import (pooled_covariance,
                                    private_pooled_covariance, t2_statistic,
                                    t_dp_statistic)
 from dphotelling.mechanisms import (PRIVACY_OFF, PrivacyBudget,
@@ -30,12 +30,12 @@ class TestPooledCovariance:
     def test_equal_inputs_pass_through(self):
         s = np.array([[2.0, 0.5], [0.5, 1.0]])
         out = pooled_covariance(s, s, 7, 7)
-        assert out.matrix == pytest.approx(s, abs=1e-15)
+        assert out == pytest.approx(s, abs=1e-15)
 
     def test_classical_hand_case(self):
         # (2*1 + 4*2) / 6 = 5/3
         out = pooled_covariance([[1.0]], [[2.0]], 3, 5)
-        assert out.matrix[0, 0] == pytest.approx(5.0 / 3.0, abs=1e-15)
+        assert out[0, 0] == pytest.approx(5.0 / 3.0, abs=1e-15)
 
     def test_classical_needs_three_observations(self):
         with pytest.raises(ValueError, match="3"):
@@ -50,7 +50,7 @@ def _correction(m, d, n1, n2, eps):
     """c1 + c2 that private_pooled_covariance adds on the diagonal."""
     zero = np.zeros((d, d))
     ps = _ps(np.zeros(d), np.zeros(d), zero, zero, n1, n2, m=m, eps=eps)
-    mat = private_pooled_covariance(ps).matrix
+    mat = private_pooled_covariance(ps)
     assert np.array_equal(mat, mat[0, 0] * np.eye(d))
     return float(mat[0, 0])
 
@@ -73,10 +73,12 @@ class TestNoiseCorrection:
             a2 / 4.0, rel=1e-12)
 
     def test_rejects_bad_inputs(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="group sizes"):
             _correction(1.0, 1, 0, 10, 1.0)
         with pytest.raises(ValueError):
             _correction(1.0, 1, 10, 10, -1.0)
+        with pytest.raises(ValueError, match="bound_m"):
+            _correction(0.0, 1, 10, 10, 1.0)
 
 
 class TestPrivatePooledCovariance:
@@ -88,8 +90,7 @@ class TestPrivatePooledCovariance:
         ps = _ps(np.zeros(3), np.zeros(3), cov_x, cov_y, 11, 13)
         out = private_pooled_covariance(ps)
         ref = pooled_covariance(cov_x, cov_y, 11, 13)
-        assert np.array_equal(out.matrix, ref.matrix)
-        assert out.kind == PRIVATE_CORRECTED
+        assert np.array_equal(out, ref)
 
     def test_diagonal_shift_hand_case(self):
         # Pick eps so that c1 + c2 = 0.1 with n1 = n2 = n, d = 2, m = 1:
@@ -99,7 +100,7 @@ class TestPrivatePooledCovariance:
         ps = _ps(np.zeros(d), np.zeros(d), np.eye(d), np.eye(d), n, n,
                  m=m, eps=eps)
         out = private_pooled_covariance(ps)
-        assert out.matrix == pytest.approx(np.diag([1.1, 1.1]), rel=1e-12)
+        assert out == pytest.approx(np.diag([1.1, 1.1]), rel=1e-12)
 
     def test_matches_noise_correction_formula(self):
         ps = _ps([0.0], [0.0], [[1.0]], [[2.0]], 30, 60, m=1.5, eps=0.8)
@@ -108,7 +109,7 @@ class TestPrivatePooledCovariance:
         b1 = 2.0 * 1.5 * 1 / (30 * (0.8 / 4.0))
         b2 = 2.0 * 1.5 * 1 / (60 * (0.8 / 4.0))
         base = pooled_covariance([[1.0]], [[2.0]], 30, 60)
-        assert out.matrix[0, 0] == base.matrix[0, 0] + (2.0 * b1 * b1
+        assert out[0, 0] == base[0, 0] + (2.0 * b1 * b1
                                                         + 2.0 * b2 * b2)
 
     def test_smallest_eigenvalue_at_least_shift(self):
@@ -123,7 +124,7 @@ class TestPrivatePooledCovariance:
             b1 = 2.0 * 1.0 * d / (20 * (eps / 4.0))
             b2 = 2.0 * 1.0 * d / (30 * (eps / 4.0))
             shift = 2.0 * b1 * b1 + 2.0 * b2 * b2
-            w = symmetric_eigen(private_pooled_covariance(ps).matrix).eigenvalues
+            w = symmetric_eigen(private_pooled_covariance(ps)).eigenvalues
             assert w[-1] >= shift - 1e-10
 
 

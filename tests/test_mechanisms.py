@@ -15,6 +15,14 @@ from dphotelling.randkit import RngStream
 from oracles import folded_shift_laplace_cdf, ks_statistic_vec, laplace_cdf
 
 
+def _summary(n, m, *, mean=None, cov=None):
+    """SampleSummary of size n and bound m; zero mean or covariance if omitted."""
+    d = len(mean) if mean is not None else len(cov)
+    return SampleSummary(n=n, mean=np.zeros(d) if mean is None else mean,
+                         cov=np.zeros((d, d)) if cov is None else cov,
+                         bound_m=m)
+
+
 class TestPrivacyBudget:
     def test_even_split_parts(self):
         b = PrivacyBudget.even_split(1.0)
@@ -105,7 +113,8 @@ class TestComputeSummary:
 class TestPrivatizeMean:
     def test_privacy_off_is_identity(self):
         mean = np.array([0.1, -0.2, 0.05])
-        out = privatize_mean(RngStream(0), mean, 100, 1.0, PRIVACY_OFF)
+        out = privatize_mean(RngStream(0), _summary(100, 1.0, mean=mean),
+                             PRIVACY_OFF)
         assert np.array_equal(out, mean)
 
     def test_scale_formula_hand_case(self):
@@ -121,20 +130,21 @@ class TestPrivatizeMean:
         n, m, eps_part = 50, 1.0, 0.5
         scale = laplace_mean_scale(n, m, 2, eps_part)
         rng = RngStream(31)
+        s = _summary(n, m, mean=mean)
         reps = 10**5
         noise = np.empty((reps, 2))
         for i in range(reps):
-            noise[i] = privatize_mean(rng, mean, n, m, eps_part) - mean
+            noise[i] = privatize_mean(rng, s, eps_part) - mean
         assert np.var(noise, axis=0) == pytest.approx(
             2.0 * scale * scale, rel=0.05)
 
     def test_bound_violation(self):
         with pytest.raises(BoundViolationError):
-            privatize_mean(RngStream(0), [1.5], 10, 1.0, 1.0)
+            privatize_mean(RngStream(0), _summary(10, 1.0, mean=[1.5]), 1.0)
 
     def test_bad_eps(self):
         with pytest.raises(ValueError):
-            privatize_mean(RngStream(0), [0.5], 10, 1.0, 0.0)
+            privatize_mean(RngStream(0), _summary(10, 1.0, mean=[0.5]), 0.0)
 
 
 class TestEdCovariance:
@@ -143,7 +153,8 @@ class TestEdCovariance:
         for d in (1, 2, 4, 6):
             b = gen.standard_normal((d, d))
             cov = b @ b.T / d
-            out = ed_covariance(RngStream(0), cov, 50, 2.0, PRIVACY_OFF)
+            out = ed_covariance(RngStream(0), _summary(50, 2.0, cov=cov),
+                                PRIVACY_OFF)
             assert np.linalg.norm(out - cov) <= 1e-8 * (1.0 + np.linalg.norm(cov))
 
     def test_one_dim_folded_laplace_shape(self):
@@ -151,10 +162,11 @@ class TestEdCovariance:
         # of scale (d m^2 / n) * (2 / eps_part); full budget since d = 1.
         var, n, m, eps = 0.5, 500, 1.0, 1.0
         scale = (m * m / n) * (2.0 / eps)
+        s = _summary(n, m, cov=[[var]])
         reps = 10**5
         vals = np.empty(reps)
         for i in range(reps):
-            vals[i] = ed_covariance(RngStream(7, i), [[var]], n, m, eps)[0, 0]
+            vals[i] = ed_covariance(RngStream(7, i), s, eps)[0, 0]
         assert np.min(vals) >= 0.0
         assert np.median(vals) == pytest.approx(var, abs=0.001)
         ks = ks_statistic_vec(vals,
@@ -170,14 +182,16 @@ class TestEdCovariance:
                 cov = b @ b.T / d
                 eps = float(gen.uniform(0.05, 6.0))
                 n = int(gen.integers(2, 1000))
-                out = ed_covariance(RngStream(d, i), cov, n, 1.5, eps)
+                out = ed_covariance(RngStream(d, i),
+                                    _summary(n, 1.5, cov=cov), eps)
                 assert np.array_equal(out, out.T)
                 w = symmetric_eigen(out).eigenvalues
                 assert w[-1] >= -1e-12 * max(1.0, np.linalg.norm(out))
 
     def test_rejects_indefinite_input(self):
         with pytest.raises(ValueError, match="PSD"):
-            ed_covariance(RngStream(0), np.diag([1.0, -0.5]), 10, 1.0, 1.0)
+            ed_covariance(RngStream(0),
+                          _summary(10, 1.0, cov=np.diag([1.0, -0.5])), 1.0)
 
     @staticmethod
     def _random_cov(d, seed):
@@ -189,7 +203,7 @@ class TestEdCovariance:
         n, m, eps = 400, 1.5, 3.0
         for seed in range(5):
             cov = self._random_cov(d, seed)
-            out = ed_covariance(RngStream(seed), cov, n, m, eps)
+            out = ed_covariance(RngStream(seed), _summary(n, m, cov=cov), eps)
             assert np.array_equal(out, out.T)
             # The eigenvalue noise is the stream's first draw.
             unscale = d * m * m / n
@@ -208,11 +222,12 @@ class TestEdCovariance:
         n, m = 400, 1.5
         unscale = d * m * m / n
         cov = self._random_cov(d, 7)
+        s = _summary(n, m, cov=cov)
         lam_hat = symmetric_eigen(cov / unscale).eigenvalues
         monkeypatch.setattr(randkit, "sample_laplace",
                             lambda rng, scale, size: 1.0 - lam_hat)
         for seed in range(5):
-            out = ed_covariance(RngStream(seed), cov, n, m, 3.0)
+            out = ed_covariance(RngStream(seed), s, 3.0)
             assert np.max(np.abs(out / unscale - np.eye(d))) <= 1e-12
 
     @pytest.mark.parametrize("d", [2, 5, 30])
@@ -221,8 +236,9 @@ class TestEdCovariance:
         # direction must line up with the true leading eigenvector.
         q, _ = np.linalg.qr(np.random.default_rng(d).standard_normal((d, d)))
         cov = (q * np.r_[4.0, np.ones(d - 1)]) @ q.T
+        s = _summary(1000, 2.0, cov=cov)
         for seed in range(5):
-            out = ed_covariance(RngStream(seed), cov, 1000, 2.0, 1e6)
+            out = ed_covariance(RngStream(seed), s, 1e6)
             lead = symmetric_eigen(out).eigenvectors[:, 0]
             assert abs(lead @ q[:, 0]) >= 0.999
 
@@ -237,8 +253,7 @@ class TestEdCovariance:
                 rng = RngStream(42).substream(n, rep)
                 x, _ = generate(rng.substream(0), spec, n, n)
                 s = compute_summary(x, spec.bound_m)
-                out = ed_covariance(rng.substream(1), s.cov, s.n,
-                                    spec.bound_m, 0.25)
+                out = ed_covariance(rng.substream(1), s, 0.25)
                 errs.append(np.linalg.norm(out - np.eye(3)))
             medians.append(float(np.median(errs)))
         assert medians[0] > medians[1] > medians[2]
@@ -343,3 +358,25 @@ class TestPrivatizedSummaryType:
         with pytest.raises(ValueError, match=f"{field} has a non-finite"):
             PrivatizedSummary(**fields, budget=PrivacyBudget.even_split(1.0),
                               n1=10, n2=10, bound_m=1.0)
+
+    def test_rejects_bad_metadata(self):
+        def build(**changes):
+            fields = dict(mean_x_dp=np.zeros(2), mean_y_dp=np.zeros(2),
+                          cov_x_dp=np.eye(2), cov_y_dp=np.eye(2),
+                          budget=PrivacyBudget.even_split(1.0),
+                          n1=10, n2=10, bound_m=1.0)
+            fields.update(changes)
+            return PrivatizedSummary(**fields)
+
+        build()
+        for n1, n2 in ((0, 10), (10, 0), (-3, 10)):
+            with pytest.raises(ValueError, match="group sizes must be positive"):
+                build(n1=n1, n2=n2)
+        for m in (0.0, -1.0, np.nan):
+            with pytest.raises(ValueError, match="bound_m must be positive"):
+                build(bound_m=m)
+        for field, value in (("mean_y_dp", np.zeros(3)),
+                             ("cov_x_dp", np.eye(3)),
+                             ("cov_y_dp", np.eye(1))):
+            with pytest.raises(ValueError, match="dimensions disagree"):
+                build(**{field: value})

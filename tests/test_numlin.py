@@ -10,7 +10,9 @@ class TestJacobiEigen:
 
     The class name predates the LAPACK-backed solver and is kept so that
     these test IDs stay comparable across solver changes; newer cases are
-    in TestSymmetricEigen.
+    in TestSymmetricEigen. The solver takes a matrix that
+    ``numlin.as_symmetric`` admitted, so the two rejection cases test that
+    check.
     """
 
     def test_identity(self):
@@ -25,7 +27,7 @@ class TestJacobiEigen:
 
     def test_two_by_two_hand_case(self):
         # characteristic polynomial of [[2,1],[1,2]]: (2-l)^2 - 1 = 0
-        dec = numlin.symmetric_eigen([[2.0, 1.0], [1.0, 2.0]])
+        dec = numlin.symmetric_eigen(np.array([[2.0, 1.0], [1.0, 2.0]]))
         assert dec.eigenvalues == pytest.approx([3.0, 1.0], abs=1e-12)
         s = 1.0 / np.sqrt(2.0)
         assert dec.eigenvectors[:, 0] == pytest.approx([s, s], abs=1e-12)
@@ -75,11 +77,11 @@ class TestJacobiEigen:
 
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError, match="symmetric"):
-            numlin.symmetric_eigen([[1.0, 2.0], [0.0, 1.0]])
+            numlin.as_symmetric([[1.0, 2.0], [0.0, 1.0]])
 
     def test_rejects_nonsquare(self):
         with pytest.raises(ValueError):
-            numlin.symmetric_eigen(np.ones((2, 3)))
+            numlin.as_symmetric(np.ones((2, 3)))
 
 
 class TestSymmetricEigen:
@@ -100,7 +102,7 @@ class TestSymmetricEigen:
             [2.0, 2.0, 2.0, 0.5, 0.5, -1.0], abs=1e-12)
 
     def test_one_by_one(self):
-        dec = numlin.symmetric_eigen([[-2.5]])
+        dec = numlin.symmetric_eigen(np.array([[-2.5]]))
         assert np.array_equal(dec.eigenvalues, [-2.5])
         assert np.array_equal(dec.eigenvectors, [[1.0]])
 
@@ -115,7 +117,7 @@ class TestSymmetricEigen:
         assert np.linalg.norm(gram - np.eye(12)) <= 1e-12
 
     def test_outputs_read_only(self):
-        for a in (np.eye(3), [[4.0]]):
+        for a in (np.eye(3), np.array([[4.0]])):
             dec = numlin.symmetric_eigen(a)
             assert not dec.eigenvalues.flags.writeable
             assert not dec.eigenvectors.flags.writeable
@@ -129,7 +131,7 @@ class TestSymmetricEigen:
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_non_finite_input_raises_convergence_error(self, a):
         with pytest.raises(ConvergenceError, match="non-finite"):
-            numlin.symmetric_eigen(a)
+            numlin.symmetric_eigen(np.array(a))
 
     @pytest.mark.filterwarnings("error")
     def test_infinite_entry_passes_symmetry_check_silently(self):
@@ -149,7 +151,7 @@ class TestSymmetricEigen:
 
 class TestInverseSqrtPsd:
     def test_identity(self):
-        out = numlin.inverse_sqrt_psd(np.eye(4))
+        out = numlin.inverse_sqrt_psd(np.eye(4), 1e-12)
         assert out == pytest.approx(np.eye(4), abs=1e-12)
 
     def test_diagonal_powers(self):
@@ -182,11 +184,7 @@ class TestInverseSqrtPsd:
 
     def test_indefinite_rejected(self):
         with pytest.raises(ValueError, match="PSD"):
-            numlin.inverse_sqrt_psd(np.diag([1.0, -0.5]))
-
-    def test_negative_floor_rejected(self):
-        with pytest.raises(ValueError):
-            numlin.inverse_sqrt_psd(np.eye(2), floor=-1.0)
+            numlin.inverse_sqrt_psd(np.diag([1.0, -0.5]), 1e-12)
 
 
 class TestPsdSqrt:

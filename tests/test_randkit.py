@@ -216,7 +216,7 @@ class TestBinghamSampler:
 
     def test_s0_is_fair_coin(self):
         rng = RngStream(11)
-        draws = np.array([sample_bingham_vector(rng, [[3.0]], 2.0)[0]
+        draws = np.array([sample_bingham_vector(rng, np.array([[3.0]]), 2.0)[0]
                           for _ in range(20000)])
         assert set(np.unique(draws)) == {-1.0, 1.0}
         # 3 sigma band for a fair coin

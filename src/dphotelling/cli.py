@@ -207,21 +207,27 @@ def _budget_line(split) -> str:
             f"cov_x={split[2]:g} cov_y={split[3]:g}")
 
 
-def cmd_test(args) -> int:
+def _config(args, threshold_kind: str) -> TestConfig:
+    """The run's ``TestConfig``, built before the B * alpha rule reads alpha."""
     eps = _parse_epsilon(args.epsilon, args.unsafe_no_privacy)
-    if args.mode == BOOTSTRAP:
-        _check_bootstrap_resolution(args.alpha, args.bootstrap_b)
-    x, y = _load_pair(args)
     cfg = TestConfig(
         epsilon=eps, bound_m=args.bound_m, alpha=args.alpha,
-        bootstrap_b=args.bootstrap_b, threshold_kind=args.mode,
+        bootstrap_b=args.bootstrap_b, threshold_kind=threshold_kind,
         clamp=args.clamp,
     )
+    if threshold_kind == BOOTSTRAP:
+        _check_bootstrap_resolution(cfg.alpha, cfg.bootstrap_b)
+    return cfg
+
+
+def cmd_test(args) -> int:
+    cfg = _config(args, args.mode)
+    x, y = _load_pair(args)
     outcome = run_test(RngStream(args.seed), x, y, cfg)
     if args.json:
         print(json.dumps(outcome.to_dict(), sort_keys=True))
     else:
-        if math.isinf(eps):
+        if math.isinf(cfg.epsilon):
             print(_NONPRIVATE_BANNER)
         print(f"statistic      : {outcome.statistic:.10g}")
         print(f"threshold      : {outcome.threshold:.10g} "
@@ -234,21 +240,15 @@ def cmd_test(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
-    eps = _parse_epsilon(args.epsilon, args.unsafe_no_privacy)
-    _check_bootstrap_resolution(args.alpha, args.bootstrap_b)
+    cfg = _config(args, BOOTSTRAP)
     x, y = _load_pair(args)
-    cfg = TestConfig(
-        epsilon=eps, bound_m=args.bound_m, alpha=args.alpha,
-        bootstrap_b=args.bootstrap_b, threshold_kind=BOOTSTRAP,
-        clamp=args.clamp,
-    )
     # The test's own pipeline; its statistic and decision are not printed.
     outcome = run_test(RngStream(args.seed), x, y, cfg)
     q_star = outcome.threshold
     d = outcome.dim
     q_chi2 = asymptotic_threshold(cfg.alpha, d)
     idx = quantile_index(cfg.alpha, cfg.bootstrap_b)
-    if math.isinf(eps):
+    if math.isinf(cfg.epsilon):
         print(_NONPRIVATE_BANNER)
     print(f"bootstrap threshold : {q_star:.10g} "
           f"(order statistic {idx} of {cfg.bootstrap_b})")

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import hotelling, numlin, randkit
 from .mechanisms import (PrivacyBudget, PrivatizedSummary, SampleSummary,
-                         compute_summary, laplace_mean_scale,
+                         _check_bound, compute_summary, laplace_mean_scale,
                          privatize_summaries)
 
 ASYMPTOTIC = "asymptotic"
@@ -33,7 +33,12 @@ BOOTSTRAP = "bootstrap"
 
 @dataclass(frozen=True)
 class TestConfig:
-    """Knobs of one private two-sample test run."""
+    """Knobs of one private two-sample test run.
+
+    alpha lies in (0, 1), epsilon is positive (infinite only as the
+    privacy-off sentinel), bound_m is positive and finite, and
+    floor((1 - alpha) B) >= 1.
+    """
 
     __test__ = False  # not a pytest case, despite the name
 
@@ -49,8 +54,7 @@ class TestConfig:
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
         if not self.epsilon > 0.0:
             raise ValueError("epsilon must be positive")
-        if not self.bound_m > 0.0:
-            raise ValueError("bound_m must be positive")
+        _check_bound(self.bound_m)
         if self.threshold_kind not in (ASYMPTOTIC, BOOTSTRAP):
             raise ValueError(f"unknown threshold kind {self.threshold_kind!r}")
         if self.bootstrap_b < 1 or math.floor((1.0 - self.alpha) * self.bootstrap_b) < 1:
@@ -135,7 +139,7 @@ def bootstrap_threshold(rng: randkit.RngStream, ps: PrivatizedSummary,
         y_star = y_star + gen.laplace(0.0, scale_y, size=(b, d))
 
     z = (x_star - y_star) @ whitener
-    stats = (ps.n1 * ps.n2 / (ps.n1 + ps.n2)) * np.sum(z * z, axis=1)
+    stats = (ps.n1 * ps.n2 / (ps.n1 + ps.n2)) * (z * z).sum(axis=1)
     stats.sort()
     return float(stats[quantile_index(cfg.alpha, b) - 1])
 

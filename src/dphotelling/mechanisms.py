@@ -4,17 +4,18 @@ The privacy budget for a two-sample release splits four ways (two means,
 two covariances). Means get coordinate-wise Laplace noise scaled to the
 cube bound; covariances go through an iterated eigenvalue/eigenvector
 mechanism that always returns a symmetric PSD matrix. Privacy holds by
-construction of the noise scales; the module audits budget sums but does
-not re-derive sensitivity proofs.
+construction of the noise scales; ``PrivacyBudget`` checks that its parts
+sum exactly to the total, and the module does not re-derive sensitivity
+proofs.
 
 ``PRIVACY_OFF`` (infinity) is a testing-only sentinel: every mechanism
 degenerates to the identity, so the pipeline can be checked against its
 non-private counterpart.
 
 Inputs are checked where they enter: ``compute_summary`` and
-``SampleSummary`` check the data, n, m, the mean bound and the covariance's
-symmetry; ``PrivacyBudget`` checks every part; ``PrivatizedSummary`` checks
-the releases and their metadata. The releases take a ``SampleSummary`` and
+``SampleSummary`` check the data, n, m (positive and finite), the mean
+bound and the covariance's symmetry; ``PrivacyBudget`` checks every part;
+``PrivatizedSummary`` checks the releases and their metadata. The releases take a ``SampleSummary`` and
 check only their scalar budget part.
 """
 
@@ -39,7 +40,7 @@ _ROW_BLOCK = 8192
 
 def _check_eps(eps: float, name: str = "epsilon") -> float:
     eps = float(eps)
-    if not eps > 0.0 or math.isnan(eps):
+    if not eps > 0.0:
         raise ValueError(f"{name} must be positive, got {eps}")
     return eps
 
@@ -48,8 +49,9 @@ def _check_eps(eps: float, name: str = "epsilon") -> float:
 class PrivacyBudget:
     """Total privacy level and its four-way split.
 
-    Parts must be positive and sum to ``epsilon_total`` (1e-12 tolerance on
-    construction; releases re-audit with an exact compensated sum).
+    Parts must be positive, and their exact sum (``math.fsum``) must equal
+    ``epsilon_total``; the releases spend the parts as given and do not
+    check the sum again.
     """
 
     epsilon_total: float
@@ -60,12 +62,11 @@ class PrivacyBudget:
 
     def __post_init__(self):
         _check_eps(self.epsilon_total, "epsilon_total")
-        for name in ("mean_x", "mean_y", "cov_x", "cov_y"):
-            _check_eps(getattr(self, name), name)
-        total = math.fsum(self.parts)
-        if not (total == self.epsilon_total
-                or abs(total - self.epsilon_total)
-                <= 1e-12 * max(1.0, abs(self.epsilon_total))):
+        parts = self.parts
+        for name, part in zip(("mean_x", "mean_y", "cov_x", "cov_y"), parts):
+            _check_eps(part, name)
+        total = math.fsum(parts)
+        if total != self.epsilon_total:
             raise ValueError(
                 f"budget parts sum to {total!r}, expected {self.epsilon_total!r}"
             )
@@ -82,16 +83,24 @@ class PrivacyBudget:
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
+    """A read-only float64 copy of ``a``."""
     out = np.array(a, dtype=float)
     out.setflags(write=False)
     return out
+
+
+def _check_bound(m: float) -> None:
+    """The cube bound scales every noise draw: positive and finite."""
+    if not 0.0 < m < math.inf:
+        raise ValueError(f"bound_m must be positive and finite, got {m}")
 
 
 @dataclass(frozen=True)
 class SampleSummary:
     """Per-group sufficient statistics: size, mean, covariance, cube bound.
 
-    The mean and the covariance must be finite; the covariance symmetric.
+    The mean and the covariance must be finite, the covariance symmetric,
+    and the bound positive and finite.
     """
 
     n: int
@@ -102,15 +111,14 @@ class SampleSummary:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("sample size must be positive")
-        if not self.bound_m > 0.0:
-            raise ValueError("bound_m must be positive")
+        _check_bound(self.bound_m)
         mean = _frozen(np.asarray(self.mean, dtype=float).reshape(-1))
         cov = _frozen(numlin.as_symmetric(self.cov))
         if not np.isfinite(cov).all():
             raise ValueError("cov has a non-finite entry")
         if cov.shape[0] != mean.shape[0]:
             raise ValueError("mean and covariance dimensions disagree")
-        peak = float(np.max(np.abs(mean)))
+        peak = abs(mean).max()
         if not math.isfinite(peak):
             raise ValueError("mean has a non-finite entry")
         slack = _BOUND_SLACK * (1.0 + self.bound_m)
@@ -131,7 +139,8 @@ class PrivatizedSummary:
     """The four private releases plus the public metadata that scaled them.
 
     Every released entry must be finite, the covariances symmetric, and all
-    four of one dimension; the group sizes and the bound must be positive.
+    four of one dimension; the group sizes must be positive and the bound
+    positive and finite.
     """
 
     mean_x_dp: np.ndarray
@@ -146,15 +155,17 @@ class PrivatizedSummary:
     def __post_init__(self):
         if self.n1 < 1 or self.n2 < 1:
             raise ValueError("group sizes must be positive")
-        if not self.bound_m > 0.0:
-            raise ValueError("bound_m must be positive")
-        object.__setattr__(self, "mean_x_dp", _frozen(np.asarray(self.mean_x_dp).reshape(-1)))
-        object.__setattr__(self, "mean_y_dp", _frozen(np.asarray(self.mean_y_dp).reshape(-1)))
-        object.__setattr__(self, "cov_x_dp", _frozen(numlin.as_symmetric(self.cov_x_dp)))
-        object.__setattr__(self, "cov_y_dp", _frozen(numlin.as_symmetric(self.cov_y_dp)))
-        for name in ("mean_x_dp", "mean_y_dp", "cov_x_dp", "cov_y_dp"):
-            if not np.isfinite(getattr(self, name)).all():
+        _check_bound(self.bound_m)
+        releases = {
+            "mean_x_dp": _frozen(np.asarray(self.mean_x_dp).reshape(-1)),
+            "mean_y_dp": _frozen(np.asarray(self.mean_y_dp).reshape(-1)),
+            "cov_x_dp": _frozen(numlin.as_symmetric(self.cov_x_dp)),
+            "cov_y_dp": _frozen(numlin.as_symmetric(self.cov_y_dp)),
+        }
+        for name, value in releases.items():
+            if not np.isfinite(value).all():
                 raise ValueError(f"{name} has a non-finite entry")
+            object.__setattr__(self, name, value)
         d = self.dim
         shapes = (self.mean_y_dp.shape, self.cov_x_dp.shape, self.cov_y_dp.shape)
         if shapes != ((d,), (d, d), (d, d)):
@@ -192,8 +203,7 @@ def compute_summary(data, m: float, clamp: bool = False) -> SampleSummary:
     n, d = x.shape
     if n < 2:
         raise ValueError("need at least two observations")
-    if not m > 0.0:
-        raise ValueError("bound m must be positive")
+    _check_bound(m)
     lo, hi = float(x.min()), float(x.max())
     if not (math.isfinite(lo) and math.isfinite(hi)):
         r, c = np.argwhere(~np.isfinite(x))[0]
@@ -204,7 +214,7 @@ def compute_summary(data, m: float, clamp: bool = False) -> SampleSummary:
         raise BoundViolationError(
             f"data entry outside [-{m}, {m}]; pass clamp=True to clip"
         )
-    mean = x.mean(axis=0)
+    mean = x.sum(axis=0) / n
     # Row blocks keep the centered copy small; one block when n <= _ROW_BLOCK.
     cov = np.zeros((d, d))
     for start in range(0, n, _ROW_BLOCK):
@@ -247,7 +257,9 @@ def ed_covariance(rng: randkit.RngStream, s: SampleSummary,
     the release estimates cov_hat itself.
 
     The remaining subspace is held as an orthonormal basis P (q rows) and
-    the sampler sees P C P^T. After a draw u the released direction is
+    the sampler sees the eigendecomposition of P C P^T. The first basis is
+    the identity, so step 0 reuses the decomposition of C that the
+    eigenvalue release made. After a draw u the released direction is
     P^T u, and one Householder reflection that maps u onto the first axis
     deflates P to its last q - 1 rows. The density of the released
     direction on the unit sphere of the subspace depends on the subspace
@@ -265,7 +277,7 @@ def ed_covariance(rng: randkit.RngStream, s: SampleSummary,
     scaled = (n / (d * m * m)) * s.cov
     dec = numlin.symmetric_eigen(scaled)
     lam_hat = dec.eigenvalues
-    psd_tol = 1e-10 * max(1.0, float(np.linalg.norm(scaled)))
+    psd_tol = 1e-10 * max(1.0, numlin.frobenius_norm(scaled))
     if lam_hat[-1] < -psd_tol:
         raise ValueError(
             f"covariance input is not PSD within round-off: "
@@ -289,11 +301,10 @@ def ed_covariance(rng: randkit.RngStream, s: SampleSummary,
 
     directions = np.empty((d, d))
     p_rows = np.eye(d)
+    # dec is the decomposition of P C P^T for the current basis P; at step 0
+    # P = I and P C P^T is C itself.
     for i in range(d):
-        ctil = p_rows @ scaled @ p_rows.T
-        # Validated once in the summary; only round-off asymmetry to remove.
-        ctil = 0.5 * (ctil + ctil.T)
-        u = randkit.sample_bingham_vector(rng, ctil, eps_step)
+        u = randkit.sample_bingham_vector(rng, dec, eps_step)
         directions[:, i] = p_rows.T @ u
         if i < d - 1:
             # Householder reflection H = I - 2 v v^T maps u to -sign(u_0) e_1,
@@ -302,6 +313,10 @@ def ed_covariance(rng: randkit.RngStream, s: SampleSummary,
             v[0] += math.copysign(1.0, u[0])
             v /= np.linalg.norm(v)
             p_rows = (p_rows - 2.0 * np.outer(v, v @ p_rows))[1:]
+            ctil = p_rows @ scaled @ p_rows.T
+            # Validated once in the summary; only round-off asymmetry to
+            # remove.
+            dec = numlin.symmetric_eigen(0.5 * (ctil + ctil.T))
     out = (directions * lam_bar) @ directions.T
     return unscale * 0.5 * (out + out.T)
 
@@ -319,12 +334,6 @@ def privatize_summaries(rng: randkit.RngStream, sx: SampleSummary,
         raise ValueError(f"dimension mismatch: {sx.dim} vs {sy.dim}")
     if sx.bound_m != sy.bound_m:
         raise ValueError("both groups must share the same cube bound m")
-    total = math.fsum(budget.parts)
-    if total != budget.epsilon_total:
-        raise ValueError(
-            f"budget audit failed: parts sum to {total!r}, "
-            f"expected {budget.epsilon_total!r}"
-        )
     return PrivatizedSummary(
         mean_x_dp=privatize_mean(rng.substream(0), sx, budget.mean_x),
         mean_y_dp=privatize_mean(rng.substream(1), sy, budget.mean_y),

@@ -36,15 +36,25 @@ def as_symmetric(a, *, tol: float = SYMMETRY_TOL) -> np.ndarray:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     if m.shape[0] < 1:
         raise ValueError("matrix dimension must be >= 1")
-    scale = 1.0 + (np.max(np.abs(m)) if m.size else 0.0)
+    if m.shape[0] == 1:
+        return m  # a 1x1 matrix has no asymmetry
+    scale = 1.0 + abs(m).max()
     if not math.isfinite(scale):
         # NaN or inf entries pass here, and the eigensolver rejects them;
         # m - m.T would warn on inf - inf.
         return m
-    defect = np.max(np.abs(m - m.T))
+    defect = abs(m - m.T).max()
     if defect > tol * scale:
         raise ValueError(f"matrix is not symmetric: max asymmetry {defect:.3e}")
     return m
+
+
+_NON_FINITE = ("symmetric eigensolver returned non-finite values; the input "
+               "has NaN or infinite entries or overflows")
+
+# The eigenvector of every 1x1 matrix; read-only, so decompositions share it.
+_UNIT_1X1 = np.ones((1, 1))
+_UNIT_1X1.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -72,25 +82,30 @@ def symmetric_eigen(a: np.ndarray) -> EigenDecomposition:
     d = a.shape[0]
     if d == 1:
         w = a[0].copy()
-        v = np.ones((1, 1))
-    else:
-        try:
-            w, v = np.linalg.eigh(a)
-        except np.linalg.LinAlgError as exc:
-            raise ConvergenceError(f"symmetric eigensolver failed: {exc}") from exc
-        order = np.argsort(-w, kind="stable")
-        w = w[order]
-        v = v[:, order]
-        lead = np.argmax(np.abs(v) > 1e-12, axis=0)
-        v[:, v[lead, np.arange(d)] < 0.0] *= -1.0
+        if not math.isfinite(w[0]):
+            raise ConvergenceError(_NON_FINITE)
+        w.setflags(write=False)
+        return EigenDecomposition(eigenvalues=w, eigenvectors=_UNIT_1X1)
+    try:
+        w, v = np.linalg.eigh(a)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"symmetric eigensolver failed: {exc}") from exc
+    order = np.argsort(-w, kind="stable")
+    w = w[order]
+    v = v[:, order]
+    lead = np.argmax(np.abs(v) > 1e-12, axis=0)
+    v[:, v[lead, np.arange(d)] < 0.0] *= -1.0
     if not (np.isfinite(w).all() and np.isfinite(v).all()):
-        raise ConvergenceError(
-            "symmetric eigensolver returned non-finite values; the input "
-            "has NaN or infinite entries or overflows"
-        )
+        raise ConvergenceError(_NON_FINITE)
     w.setflags(write=False)
     v.setflags(write=False)
     return EigenDecomposition(eigenvalues=w, eigenvectors=v)
+
+
+def frobenius_norm(a: np.ndarray) -> float:
+    """sqrt(sum of squared entries), the value of ``np.linalg.norm(a)``."""
+    flat = a.ravel(order="K")
+    return math.sqrt(flat.dot(flat))
 
 
 def inverse_sqrt_psd(a: np.ndarray, floor: float) -> np.ndarray:
@@ -103,7 +118,7 @@ def inverse_sqrt_psd(a: np.ndarray, floor: float) -> np.ndarray:
     """
     dec = symmetric_eigen(a)
     w = dec.eigenvalues
-    tol = 1e-10 * max(1.0, float(np.linalg.norm(a)))
+    tol = 1e-10 * max(1.0, frobenius_norm(a))
     if w[-1] < -tol:
         raise ValueError(
             f"matrix is not PSD within tolerance: min eigenvalue {w[-1]:.3e}"

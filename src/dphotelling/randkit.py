@@ -230,9 +230,13 @@ def solve_b(lambdas) -> float:
 _MAX_PROPOSALS = 10**6
 
 
-def sample_bingham_vector(rng: RngStream, c: np.ndarray,
+def sample_bingham_vector(rng: RngStream, dec: numlin.EigenDecomposition,
                           eps_step: float) -> np.ndarray:
     """Draw a unit q-vector with density proportional to exp((eps_step/4) u^T C u).
+
+    ``dec`` is the eigendecomposition of the symmetric q-by-q matrix C, as
+    ``numlin.symmetric_eigen`` returns it; the caller that built C also
+    decomposes it, so the sampler never sees C itself.
 
     Rejection sampler with an angular-central-Gaussian envelope: with
     A = (eps_step/4)(lmax(C) I - C), proposals are z / ||z|| for
@@ -241,15 +245,12 @@ def sample_bingham_vector(rng: RngStream, c: np.ndarray,
     M = exp(-(q-b)/2) (q/b)^{q/2}. Writing s = u^T A u, the ratio is
     exp(-s)(1 + 2s/b)^{q/2} / M, and M is exactly the maximum of the
     numerator over s >= 0, so the ratio is a true probability; it equals 1
-    identically when C is isotropic. ``c`` must be a symmetric float64
-    array (see ``numlin.as_symmetric``); it is not checked here.
+    identically when C is isotropic.
     """
     if not eps_step > 0.0:
         raise ValueError(f"eps_step must be positive, got {eps_step}")
-    dec = numlin.symmetric_eigen(c)
     mu = dec.eigenvalues  # descending
     q = mu.shape[0]
-    spread = float(mu[0] - mu[-1])
     # Eigenvalues of A in the eigenbasis of C; the largest mu gives 0.
     lam_a = 0.25 * eps_step * (mu[0] - mu)
     lam_a[0] = 0.0
@@ -266,19 +267,17 @@ def sample_bingham_vector(rng: RngStream, c: np.ndarray,
     while used < _MAX_PROPOSALS:
         batch = min(batch, _MAX_PROPOSALS - used)
         z = gen.standard_normal((batch, q)) @ prop_root
-        norms = np.linalg.norm(z, axis=1)
+        norms = np.sqrt((z * z).sum(axis=1))
         norms[norms == 0.0] = 1.0
         u = z / norms[:, None]
         # u^T A u and u^T Omega u through the shared eigenbasis of C.
         y = u @ v
-        uau = (y * y) @ lam_a
-        uou = (y * y) @ omega_diag
-        log_ratio = -uau + (q / 2.0) * np.log(uou) - log_m
-        accept = np.log(gen.uniform(size=batch)) < log_ratio
-        hits = np.nonzero(accept)[0]
+        yy = y * y
+        log_ratio = -(yy @ lam_a) + (q / 2.0) * np.log(yy @ omega_diag) - log_m
+        hits = np.flatnonzero(np.log(gen.uniform(size=batch)) < log_ratio)
         if hits.size:
-            out = u[hits[0]].copy()
-            return out / float(np.linalg.norm(out))
+            out = u[hits[0]]
+            return out / math.sqrt(out.dot(out))
         used += batch
         batch = min(1024, batch * 2)
-    raise SamplerStallError(q, eps_step, spread)
+    raise SamplerStallError(q, eps_step, float(mu[0] - mu[-1]))

@@ -114,7 +114,7 @@ def generate(rng: RngStream, spec: DesignSpec, n1: int, n2: int):
             x = x @ t  # t symmetric: rows transform like t @ row
             y = y @ t
     m = spec.bound_m
-    if not (np.max(np.abs(x)) <= m and np.max(np.abs(y)) <= m):
+    if not (abs(x).max() <= m and abs(y).max() <= m):
         raise BoundViolationError("generated data left the declared bound")
     return x, y
 
@@ -180,22 +180,24 @@ def read_table_csv(path) -> RejectionTable:
 
 
 def _replicate(master_seed: int, cell_index: int, rep: int, cell: CellSpec,
-               alpha: float, bootstrap_b: int) -> bool:
+               cfg: TestConfig) -> bool:
     rng = RngStream(master_seed).substream(cell_index, rep)
     x, y = generate(rng.substream(0), cell.design, cell.n, cell.n)
-    cfg = TestConfig(
-        epsilon=cell.eps, bound_m=cell.design.bound_m, alpha=alpha,
-        bootstrap_b=bootstrap_b, threshold_kind=cell.kind,
-    )
     return run_test(rng.substream(1), x, y, cfg).reject
 
 
 def _run_block(args):
     (master_seed, cell_index, cell, rep_lo, rep_hi, alpha, bootstrap_b) = args
     try:
+        # Inside the try, so that a cell whose configuration is invalid
+        # reads NA instead of aborting the grid.
+        cfg = TestConfig(
+            epsilon=cell.eps, bound_m=cell.design.bound_m, alpha=alpha,
+            bootstrap_b=bootstrap_b, threshold_kind=cell.kind,
+        )
         hits = 0
         for rep in range(rep_lo, rep_hi):
-            if _replicate(master_seed, cell_index, rep, cell, alpha, bootstrap_b):
+            if _replicate(master_seed, cell_index, rep, cell, cfg):
                 hits += 1
         return cell_index, hits, None
     except Exception as exc:  # cell failure must not abort the grid

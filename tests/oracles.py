@@ -1,13 +1,18 @@
-"""Independent oracles used by the tests.
+"""Independent oracles and reference implementations used by the tests.
 
-Everything here is deliberately coded from scratch (closed forms, Simpson
+The oracles are deliberately coded from scratch (closed forms, Simpson
 quadrature, direct empirical-CDF comparisons) so the checks do not share
-any code path with the package internals they verify.
+any code path with the package internals they verify. The reference
+implementations at the end keep an earlier form of a package routine,
+built on the same kernels, so that a test can require the current form to
+return the same bytes.
 """
 
 import math
 
 import numpy as np
+
+from dphotelling import numlin, randkit
 
 
 def simpson(f, a: float, b: float, n: int = 20001) -> float:
@@ -135,3 +140,77 @@ def angular_inverse_cdf_samples(concentration: float, n: int) -> np.ndarray:
     cdf /= cdf[-1]
     u = (np.arange(n) + 0.5) / n
     return np.interp(u, cdf, grid)
+
+
+# --- reference implementations -----------------------------------------------
+
+
+def sample_bingham_vector_reference(rng, c, eps_step, batches=None):
+    """The sphere sampler as it was when it took the matrix C itself.
+
+    Decomposes ``c`` on every call and draws exactly as
+    ``randkit.sample_bingham_vector``. When ``batches`` is a list, the
+    number of proposal batches the draw used is appended to it.
+    """
+    dec = numlin.symmetric_eigen(c)
+    mu = dec.eigenvalues
+    q = mu.shape[0]
+    lam_a = 0.25 * eps_step * (mu[0] - mu)
+    lam_a[0] = 0.0
+    b = randkit.solve_b(lam_a)
+    log_m = -(q - b) / 2.0 + (q / 2.0) * (math.log(q) - math.log(b))
+    omega_diag = 1.0 + 2.0 * lam_a / b
+    v = dec.eigenvectors
+    prop_root = (v / np.sqrt(omega_diag)) @ v.T
+    gen = rng.generator
+    batch = 32
+    used = 0
+    while True:
+        z = gen.standard_normal((batch, q)) @ prop_root
+        norms = np.linalg.norm(z, axis=1)
+        norms[norms == 0.0] = 1.0
+        u = z / norms[:, None]
+        y = u @ v
+        uau = (y * y) @ lam_a
+        uou = (y * y) @ omega_diag
+        log_ratio = -uau + (q / 2.0) * np.log(uou) - log_m
+        hits = np.nonzero(np.log(gen.uniform(size=batch)) < log_ratio)[0]
+        used += 1
+        if hits.size:
+            if batches is not None:
+                batches.append(used)
+            out = u[hits[0]].copy()
+            return out / float(np.linalg.norm(out))
+        batch = min(1024, batch * 2)
+
+
+def ed_covariance_reference(rng, s, eps_part, batches=None):
+    """The ED covariance release as it was when every step, step 0 included,
+    decomposed its own subspace matrix P C P^T.
+
+    Takes a ``SampleSummary`` with a finite ``eps_part``; ``batches`` is
+    passed to the sampler.
+    """
+    n, m, d = s.n, s.bound_m, s.dim
+    scaled = (n / (d * m * m)) * s.cov
+    lam_hat = numlin.symmetric_eigen(scaled).eigenvalues
+    unscale = (d * m * m) / n
+    eps_step = eps_part if d == 1 else eps_part / (d + 1)
+    noise = randkit.sample_laplace(rng, 2.0 / eps_step, size=d)
+    lam_bar = np.abs(lam_hat + noise)
+    if d == 1:
+        return np.array([[unscale * lam_bar[0]]])
+    directions = np.empty((d, d))
+    p_rows = np.eye(d)
+    for i in range(d):
+        ctil = p_rows @ scaled @ p_rows.T
+        ctil = 0.5 * (ctil + ctil.T)
+        u = sample_bingham_vector_reference(rng, ctil, eps_step, batches)
+        directions[:, i] = p_rows.T @ u
+        if i < d - 1:
+            v = u.copy()
+            v[0] += math.copysign(1.0, u[0])
+            v /= np.linalg.norm(v)
+            p_rows = (p_rows - 2.0 * np.outer(v, v @ p_rows))[1:]
+    out = (directions * lam_bar) @ directions.T
+    return unscale * 0.5 * (out + out.T)

@@ -16,6 +16,7 @@ from dphotelling.hotelling import pooled_covariance, t2_statistic, t_dp_statisti
 from dphotelling.mechanisms import (PRIVACY_OFF, PrivacyBudget,
                                     compute_summary, ed_covariance,
                                     privatize_summaries)
+from dphotelling.numlin import symmetric_eigen
 from dphotelling.randkit import (RngStream, chi2_cdf, sample_bingham_vector)
 from dphotelling.simbench import (CellSpec, DesignSpec, example32_inflation,
                                   generate, run_grid)
@@ -160,11 +161,11 @@ def test_criterion_10_privacy_off_degeneration():
 
 def test_criterion_11_sphere_sampler():
     rng = RngStream(13)
-    c = np.diag([10.0, 0.0])
+    dec = symmetric_eigen(np.diag([10.0, 0.0]))
     n = 10**5
     mean_abs = 0.0
     for _ in range(n):
-        mean_abs += abs(sample_bingham_vector(rng, c, 8.0)[0])
+        mean_abs += abs(sample_bingham_vector(rng, dec, 8.0)[0])
     mean_abs /= n
     oracle = angular_mean_abs_cos(20.0)
     ok_mean = abs(mean_abs - oracle) <= 0.01
@@ -174,8 +175,9 @@ def test_criterion_11_sphere_sampler():
     # with a reference stream burning the same draws.
     q = 2
     r1 = RngStream(77)
+    dec = symmetric_eigen(3.0 * np.eye(q))
     for _ in range(500):
-        sample_bingham_vector(r1, 3.0 * np.eye(q), 2.0)
+        sample_bingham_vector(r1, dec, 2.0)
     r2 = RngStream(77)
     for _ in range(500):
         r2.generator.standard_normal((32, q))

@@ -407,6 +407,29 @@ class TestCmdTest:
         assert code == 2
 
 
+class TestConfigurationArguments:
+    """``test`` and ``calibrate`` check alpha and the bound before any draw."""
+
+    @pytest.mark.parametrize("command", ["test", "calibrate"])
+    @pytest.mark.parametrize("alpha", ["0", "-0.1", "1"])
+    def test_alpha_outside_unit_interval(self, h0_pair, capsys, command,
+                                         alpha):
+        x, y = h0_pair
+        code = cli.main([command, x, y, "--epsilon", "1", "--bound-m", "1",
+                         "--alpha", alpha])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "alpha must lie in (0, 1)" in err
+
+    @pytest.mark.parametrize("command", ["test", "calibrate"])
+    def test_infinite_bound(self, h0_pair, capsys, command):
+        x, y = h0_pair
+        code = cli.main([command, x, y, "--epsilon", "1", "--bound-m", "inf"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "bound_m must be positive and finite" in err
+
+
 class TestCmdCalibrate:
     def test_reports_chi2_reference(self, tmp_path, capsys):
         gen = np.random.default_rng(1)

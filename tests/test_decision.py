@@ -60,6 +60,12 @@ class TestTestConfig:
         with pytest.raises(ValueError):
             TestConfig(epsilon=0.0, bound_m=1.0)
 
+    @pytest.mark.parametrize("bound", [math.inf, -math.inf, math.nan])
+    def test_rejects_non_finite_bound(self, bound):
+        # An infinite bound would scale the Laplace noise to infinity.
+        with pytest.raises(ValueError, match="bound_m must be positive and finite"):
+            TestConfig(epsilon=1.0, bound_m=bound)
+
 
 class TestBootstrapThreshold:
     def test_degenerate_all_equal_statistics(self):
@@ -236,10 +242,11 @@ class TestHotPathCalls:
 
     Each covariance is checked for symmetry once, where it enters a
     ``SampleSummary`` or the ``PrivatizedSummary``: 4 checks whatever d.
-    At d >= 2 each ED release decomposes C and the d - 1 subspace matrices
-    of two or more rows (a 1x1 one needs no LAPACK call), the whitener
+    At d >= 2 each ED release decomposes C, whose decomposition step 0 of
+    the direction sampling reuses, and the d - 2 later subspace matrices
+    of two or more rows (a 1x1 one needs no LAPACK call). The whitener
     adds one decomposition and the bootstrap's two square roots two more:
-    2d + 3 calls of eigh, 2d + 1 under the asymptotic rule.
+    2d + 1 calls of eigh, 2d - 1 under the asymptotic rule.
     """
 
     @pytest.mark.parametrize("d", [1, 2, 30])
@@ -256,7 +263,7 @@ class TestHotPathCalls:
         if d == 1:
             assert len(eighs) == 0
         else:
-            assert len(eighs) == 2 * d + (3 if kind == BOOTSTRAP else 1)
+            assert len(eighs) == 2 * d + (1 if kind == BOOTSTRAP else -1)
 
 
 class TestStreamCount:

@@ -12,7 +12,9 @@ from dphotelling.mechanisms import (PRIVACY_OFF, PrivacyBudget,
                                     privatize_summaries)
 from dphotelling.numlin import symmetric_eigen
 from dphotelling.randkit import RngStream
-from oracles import folded_shift_laplace_cdf, ks_statistic_vec, laplace_cdf
+from dphotelling.simbench import DesignSpec, generate
+from oracles import (ed_covariance_reference, folded_shift_laplace_cdf,
+                     ks_statistic_vec, laplace_cdf)
 
 
 def _summary(n, m, *, mean=None, cov=None):
@@ -46,6 +48,20 @@ class TestPrivacyBudget:
     def test_rejects_wrong_sum(self):
         with pytest.raises(ValueError, match="sum"):
             PrivacyBudget(1.0, 0.5, 0.25, 0.25, 0.25)
+
+    def test_total_must_be_the_exact_sum(self):
+        # The naive sum misses the exact sum by one ulp: the budget fails
+        # where it is built, not later at the release.
+        parts = (0.44103280028992065, 0.8500119854096074,
+                 0.06779116727398721, 0.4511664158833398)
+        assert sum(parts) == 1.810002368856855
+        assert math.fsum(parts) == 1.8100023688568552
+        with pytest.raises(ValueError, match="sum"):
+            PrivacyBudget(sum(parts), *parts)
+        budget = PrivacyBudget(math.fsum(parts), *parts)
+        s = compute_summary(np.linspace(-0.5, 0.5, 10)[:, None], 1.0)
+        ps = privatize_summaries(RngStream(0), s, s, budget)
+        assert ps.budget.parts == parts
 
 
 class TestComputeSummary:
@@ -94,6 +110,11 @@ class TestComputeSummary:
     def test_accepts_one_dim_input(self):
         s = compute_summary(np.array([0.1, 0.2, 0.3]), 1.0)
         assert s.dim == 1
+
+    @pytest.mark.parametrize("m", [math.inf, math.nan, 0.0])
+    def test_rejects_bound_that_is_not_positive_and_finite(self, m):
+        with pytest.raises(ValueError, match="bound_m must be positive and finite"):
+            compute_summary(np.array([[0.1], [0.2]]), m)
 
     @pytest.mark.parametrize("n", [3, 8192, 8193, 30000])
     def test_row_blocks_match_one_pass(self, n):
@@ -242,9 +263,42 @@ class TestEdCovariance:
             lead = symmetric_eigen(out).eigenvectors[:, 0]
             assert abs(lead @ q[:, 0]) >= 0.999
 
+    @pytest.mark.parametrize("d", [2, 3, 5, 30])
+    def test_same_bytes_as_reference_loop(self, d):
+        # Step 0 reuses the decomposition of C and the sampler takes
+        # eigenpairs; the release keeps the bytes of the loop that
+        # decomposed every subspace matrix and gave the sampler the matrix.
+        for seed, design in enumerate(("uniform_cube", "toeplitz",
+                                       "uniform_cube")):
+            spec = DesignSpec(design, d)
+            x, _ = generate(RngStream(90 + seed), spec, 50 + 100 * seed, 2)
+            if seed == 2:
+                x[:, 0] = 0.5  # a constant column: zero covariances
+            s = compute_summary(x, spec.bound_m)
+            for eps in (0.3, 1.0, 8.0, 1e3):
+                out = ed_covariance(RngStream(seed, d), s, eps)
+                ref = ed_covariance_reference(RngStream(seed, d), s, eps)
+                assert out.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("spectrum, seed, step", [("spike", 399, 0),
+                                                      ("linear", 32, 1)])
+    def test_same_bytes_when_a_step_needs_more_batches(self, spectrum, seed,
+                                                      step):
+        # Every paper regime accepts in the first batch of 32 proposals;
+        # these seeds make one step of a concentrated d = 30 release draw a
+        # second batch.
+        d = 30
+        lam = (np.r_[1.0, np.zeros(d - 1)] if spectrum == "spike"
+               else np.linspace(1.0, 0.0, d))
+        s = _summary(10_000, 1.0, cov=np.diag(lam))
+        batches = []
+        ref = ed_covariance_reference(RngStream(seed), s, 1e3, batches)
+        assert batches[step] > 1
+        out = ed_covariance(RngStream(seed), s, 1e3)
+        assert out.tobytes() == ref.tobytes()
+
     def test_consistency_trend(self):
         # Fixed budget: the release error shrinks as the sample grows.
-        from dphotelling.simbench import DesignSpec, generate
         spec = DesignSpec("uniform_cube", 3)
         medians = []
         for n in (100, 1000, 10000):
@@ -342,6 +396,11 @@ class TestSampleSummaryType:
         with pytest.raises(ValueError, match="cov has a non-finite"):
             SampleSummary(n=5, mean=np.zeros(2), cov=cov, bound_m=1.0)
 
+    @pytest.mark.parametrize("m", [math.inf, -math.inf])
+    def test_rejects_infinite_bound(self, m):
+        with pytest.raises(ValueError, match="bound_m must be positive and finite"):
+            SampleSummary(n=5, mean=np.zeros(1), cov=np.eye(1), bound_m=m)
+
 
 class TestPrivatizedSummaryType:
     @pytest.mark.parametrize("field", ["mean_x_dp", "mean_y_dp",
@@ -375,6 +434,8 @@ class TestPrivatizedSummaryType:
         for m in (0.0, -1.0, np.nan):
             with pytest.raises(ValueError, match="bound_m must be positive"):
                 build(bound_m=m)
+        with pytest.raises(ValueError, match="bound_m must be positive and finite"):
+            build(bound_m=np.inf)
         for field, value in (("mean_y_dp", np.zeros(3)),
                              ("cov_x_dp", np.eye(3)),
                              ("cov_y_dp", np.eye(1))):

@@ -5,6 +5,7 @@ import pytest
 
 from dphotelling import randkit
 from dphotelling.errors import ConvergenceError, SamplerStallError
+from dphotelling.numlin import symmetric_eigen
 from dphotelling.randkit import (RngStream, chi2_cdf, chi2_quantile,
                                  sample_bingham_vector, sample_laplace,
                                  solve_b)
@@ -211,12 +212,14 @@ class TestBinghamSampler:
             q = int(gen.integers(1, 6))
             b = gen.standard_normal((q, q))
             c = b @ b.T
-            u = sample_bingham_vector(rng, c, float(gen.uniform(0.1, 8.0)))
+            u = sample_bingham_vector(rng, symmetric_eigen(c),
+                                      float(gen.uniform(0.1, 8.0)))
             assert abs(np.linalg.norm(u) - 1.0) <= 1e-12
 
     def test_s0_is_fair_coin(self):
         rng = RngStream(11)
-        draws = np.array([sample_bingham_vector(rng, np.array([[3.0]]), 2.0)[0]
+        dec = symmetric_eigen(np.array([[3.0]]))
+        draws = np.array([sample_bingham_vector(rng, dec, 2.0)[0]
                           for _ in range(20000)])
         assert set(np.unique(draws)) == {-1.0, 1.0}
         # 3 sigma band for a fair coin
@@ -228,8 +231,9 @@ class TestBinghamSampler:
         # with a reference stream that burns the same draws.
         q = 3
         r1 = RngStream(77)
+        dec = symmetric_eigen(2.5 * np.eye(q))
         for _ in range(100):
-            sample_bingham_vector(r1, 2.5 * np.eye(q), 1.0)
+            sample_bingham_vector(r1, dec, 1.0)
         r2 = RngStream(77)
         for _ in range(100):
             r2.generator.standard_normal((32, q))
@@ -242,18 +246,19 @@ class TestBinghamSampler:
         rng = RngStream(14)
         n = 10**5
         pos = 0
+        dec = symmetric_eigen(3.0 * np.eye(2))
         for _ in range(n):
-            pos += sample_bingham_vector(rng, 3.0 * np.eye(2), 2.0)[0] > 0.0
+            pos += sample_bingham_vector(rng, dec, 2.0)[0] > 0.0
         assert abs(pos / n - 0.5) <= 3.0 * 0.5 / math.sqrt(n)
 
     def test_anisotropic_matches_quadrature_mean(self):
         # planar density prop. to exp(2 * 10 * cos^2 theta)
         rng = RngStream(13)
-        c = np.diag([10.0, 0.0])
+        dec = symmetric_eigen(np.diag([10.0, 0.0]))
         n = 10**5
         us = np.empty((n, 2))
         for i in range(n):
-            us[i] = sample_bingham_vector(rng, c, 8.0)
+            us[i] = sample_bingham_vector(rng, dec, 8.0)
         oracle = angular_mean_abs_cos(20.0)
         assert abs(np.mean(np.abs(us[:, 0])) - oracle) <= 0.01
         # angles against stratified inverse-CDF samples of the same density
@@ -263,12 +268,14 @@ class TestBinghamSampler:
 
     def test_rejects_bad_eps(self):
         with pytest.raises(ValueError, match="positive"):
-            sample_bingham_vector(RngStream(0), np.eye(2), 0.0)
+            sample_bingham_vector(RngStream(0), symmetric_eigen(np.eye(2)),
+                                  0.0)
 
     def test_stall_reports_context(self, monkeypatch):
         monkeypatch.setattr(randkit, "_MAX_PROPOSALS", 0)
         with pytest.raises(SamplerStallError) as err:
-            sample_bingham_vector(RngStream(3), np.diag([4000.0, 0.0]), 8.0)
+            sample_bingham_vector(RngStream(3),
+                                  symmetric_eigen(np.diag([4000.0, 0.0])), 8.0)
         assert err.value.q == 2
         assert err.value.eps_step == 8.0
         assert err.value.spectral_spread == pytest.approx(4000.0)

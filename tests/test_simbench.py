@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from dphotelling.decision import ASYMPTOTIC, BOOTSTRAP
+from dphotelling.decision import ASYMPTOTIC, BOOTSTRAP, TestConfig
 from dphotelling.errors import BoundViolationError
 from dphotelling.randkit import RngStream
 from dphotelling import simbench
@@ -155,6 +155,19 @@ class TestRunGrid:
         assert "ValueError" in table.rows[0].error
         assert table.rows[1].reject_rate is not None
 
+    def test_invalid_configuration_marks_cell_not_fatal(self):
+        # eps = 0 fails when the first cell builds its TestConfig.
+        cells = [
+            CellSpec(design=DesignSpec("uniform_cube", 1), eps=0.0, n=50,
+                     kind=BOOTSTRAP),
+            CellSpec(design=DesignSpec("uniform_cube", 1), eps=1.0, n=50,
+                     kind=ASYMPTOTIC),
+        ]
+        table = run_grid(cells, 3, master_seed=0)
+        assert table.rows[0].reject_rate is None
+        assert "epsilon must be positive" in table.rows[0].error
+        assert table.rows[1].reject_rate is not None
+
     def test_per_cell_reps_override(self):
         cells = [CellSpec(design=DesignSpec("uniform_cube", 1), eps=1.0,
                           n=50, kind=ASYMPTOTIC, reps=7)]
@@ -265,5 +278,7 @@ class TestReplicateStreamCount:
         # The data, the four releases and (bootstrap rule only) the
         # resampling draw; the master, replication and test streams do not.
         cell = CellSpec(DesignSpec("uniform_cube", 2), eps=1.0, n=40, kind=kind)
-        simbench._replicate(3, 0, 5, cell, 0.05, 200)
+        cfg = TestConfig(epsilon=1.0, bound_m=cell.design.bound_m,
+                         threshold_kind=kind)
+        simbench._replicate(3, 0, 5, cell, cfg)
         assert len(philox_count) == expected

@@ -253,6 +253,10 @@ def ed_covariance(rng: randkit.RngStream, s: SampleSummary,
     et al. 2019). Here
     eps_step = eps_part / (d + 1), except in one dimension where the whole
     budget goes to the single eigenvalue and no direction needs sampling.
+    Only d - 1 directions are drawn: the last one is fixed up to a sign by
+    the others, and v v^T ignores the sign. So the release spends
+    eps_step (eigenvalues) plus (d - 1) eps_step (directions), that is
+    d/(d + 1) of eps_part.
     The reconstruction sum_i lam_i v_i v_i^T is unscaled by d m^2 / n, so
     the release estimates cov_hat itself.
 
@@ -303,20 +307,23 @@ def ed_covariance(rng: randkit.RngStream, s: SampleSummary,
     p_rows = np.eye(d)
     # dec is the decomposition of P C P^T for the current basis P; at step 0
     # P = I and P C P^T is C itself.
-    for i in range(d):
-        u = randkit.sample_bingham_vector(rng, dec, eps_step)
-        directions[:, i] = p_rows.T @ u
-        if i < d - 1:
-            # Householder reflection H = I - 2 v v^T maps u to -sign(u_0) e_1,
-            # so rows 1.. of H @ p_rows span the complement of the direction.
-            v = u.copy()
-            v[0] += math.copysign(1.0, u[0])
-            v /= np.linalg.norm(v)
-            p_rows = (p_rows - 2.0 * np.outer(v, v @ p_rows))[1:]
+    for i in range(d - 1):
+        if i:
             ctil = p_rows @ scaled @ p_rows.T
             # Validated once in the summary; only round-off asymmetry to
             # remove.
             dec = numlin.symmetric_eigen(0.5 * (ctil + ctil.T))
+        u = randkit.sample_bingham_vector(rng, dec, eps_step)
+        directions[:, i] = p_rows.T @ u
+        # Householder reflection H = I - 2 v v^T maps u to -sign(u_0) e_1,
+        # so rows 1.. of H @ p_rows span the complement of the direction.
+        v = u.copy()
+        v[0] += math.copysign(1.0, u[0])
+        v /= np.linalg.norm(v)
+        p_rows = (p_rows - 2.0 * np.outer(v, v @ p_rows))[1:]
+    # The one remaining basis row fixes the last direction up to a sign,
+    # which v v^T ignores, so it costs no draw.
+    directions[:, d - 1] = p_rows[0]
     out = (directions * lam_bar) @ directions.T
     return unscale * 0.5 * (out + out.T)
 

@@ -36,6 +36,11 @@ class RngStream:
     def __init__(self, seed: int, stream_id: int = 0, _path: tuple = ()):
         self.seed = int(seed)
         self.stream_id = int(stream_id)
+        if self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {seed}")
+        if self.stream_id < 0:
+            raise ValueError(
+                f"stream_id must be a non-negative integer, got {stream_id}")
         self._path = tuple(map(int, _path))
         self._generator = None
 

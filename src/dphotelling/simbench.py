@@ -217,6 +217,8 @@ def run_grid(cells, reps: int, *, alpha: float = 0.05, bootstrap_b: int = 200,
     cells = list(cells)
     if reps < 1:
         raise ValueError("reps must be positive")
+    # A negative seed fails here, not as an NA in every cell.
+    RngStream(master_seed)
     tasks = []
     cell_reps = []
     for ci, cell in enumerate(cells):

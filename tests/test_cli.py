@@ -1,8 +1,12 @@
+import argparse
 import csv
 import json
 import math
+import os
+import signal
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -253,6 +257,189 @@ class TestReadMatrixCsv:
             cli.read_matrix_csv(str(tmp_path / "nope.csv"))
 
 
+def assert_no_child():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def load_pair(x, y):
+    """``_load_pair``'s arrays, or (exit code, stderr) as ``main`` maps them."""
+    try:
+        return cli._load_pair(argparse.Namespace(x_csv=x, y_csv=y))
+    except cli.CsvFormatError as exc:
+        return cli.EXIT_USAGE, f"error: {exc}\n"
+
+
+def flags(a):
+    return {k: a.flags[k] for k in ("C_CONTIGUOUS", "F_CONTIGUOUS", "OWNDATA",
+                                    "WRITEABLE", "ALIGNED")}
+
+
+class TestForkedRead:
+    """``_load_pair`` reads y in a forked child; nothing else may change."""
+
+    @pytest.fixture
+    def forks(self, monkeypatch, call_count):
+        """Send files of any size to the helper; list the forks it makes."""
+        monkeypatch.setattr(cli, "_FORK_MIN_BYTES", 0)
+        return call_count(os, "fork")
+
+    @staticmethod
+    def serial(monkeypatch, x, y):
+        """``load_pair`` with the helper path made to fail the test."""
+        def no_fork():
+            raise AssertionError("forked on the serial path")
+
+        with monkeypatch.context() as m:
+            m.setattr(os, "fork", no_fork)
+            return load_pair(x, y)
+
+    @classmethod
+    def reference(cls, monkeypatch, x, y):
+        """``load_pair`` with every file below the floor."""
+        with monkeypatch.context() as m:
+            m.setattr(cli, "_FORK_MIN_BYTES", math.inf)
+            return cls.serial(m, x, y)
+
+    @pytest.mark.parametrize("layout", sorted(_LAYOUTS))
+    @pytest.mark.parametrize("fmt", sorted(_NUMBER_FORMATS))
+    def test_same_array_as_serial_read(self, tmp_path, forks, fmt, layout):
+        gen = np.random.default_rng([sorted(_NUMBER_FORMATS).index(fmt),
+                                     sorted(_LAYOUTS).index(layout)])
+        values = gen.uniform(-10.0, 10.0, (8, 3)) * 10.0 ** gen.integers(
+            -5, 6, (8, 3))
+        rows = [[_NUMBER_FORMATS[fmt](float(v)) for v in row] for row in values]
+        p = tmp_path / "a.csv"
+        p.write_bytes(_LAYOUTS[layout](rows).encode("utf-8"))
+        # The parent reads the file as x, the child the same file as y.
+        x, y = load_pair(str(p), str(p))
+        assert len(forks) == 1
+        assert_same_bytes(x, y)
+        assert flags(x) == flags(y)
+        assert_no_child()
+
+    def test_same_json_stdout(self, h0_pair, monkeypatch, forks, capsys):
+        argv = ["test", *h0_pair, "--epsilon", "0.7", "--bound-m", "1",
+                "--seed", "5", "--json"]
+        assert cli.main(argv) == 0
+        forked = capsys.readouterr().out
+        assert len(forks) == 1
+        monkeypatch.setattr(cli, "_FORK_MIN_BYTES", math.inf)
+        assert cli.main(argv) == 0
+        assert len(forks) == 1
+        assert capsys.readouterr().out == forked
+        assert_no_child()
+
+    @pytest.mark.parametrize("x_text, y_text", [
+        ("1,2\nx,3\n", "1,2\n3,nan\n"),
+        ("", "\n\n"),
+        ("0.1,0.2\n", "1,2\n\n3\n"),
+        ("0.1,0.2\n", "1,2\n3,nan\n"),
+        ("0.1,0.2\n", "u,v\n"),
+        ("0.1,0.2\n", "1,2\n3,1_0\n"),
+        ("0.1,0.2\n", b"1,2\n3,\xff\n"),
+        ("0.1,0.2\n", "0.1,0.2,0.3\n"),
+    ], ids=["both-bad", "both-empty", "y-ragged", "y-nan", "y-header-only",
+            "y-float-only-syntax", "y-not-utf8", "column-mismatch"])
+    def test_errors_as_in_serial_read(self, tmp_path, monkeypatch, forks,
+                                      x_text, y_text):
+        x, y = tmp_path / "x.csv", tmp_path / "y.csv"
+        x.write_text(x_text)
+        if isinstance(y_text, bytes):
+            y.write_bytes(y_text)
+        else:
+            y.write_text(y_text)
+        got = load_pair(str(x), str(y))
+        assert len(forks) == 1
+        assert_no_child()
+        assert got == self.reference(monkeypatch, str(x), str(y))
+        code, err = got
+        assert code == cli.EXIT_USAGE
+        if x_text.startswith("0.1"):
+            assert str(y) in err
+        else:
+            assert str(x) in err
+
+    def test_bad_y_exit_code_through_main(self, tmp_path, forks, capsys):
+        x = write_csv(tmp_path / "x.csv", [[0.1, 0.2], [0.3, 0.4]])
+        y = tmp_path / "y.csv"
+        y.write_text("0.1,0.2\n0.3,inf\n")
+        code = cli.main(["test", x, str(y), "--epsilon", "1", "--bound-m", "1"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {y}: line 2, column 2: non-finite value 'inf'\n")
+        assert len(forks) == 1
+        assert_no_child()
+
+    @staticmethod
+    def _write_half(fd, arr):
+        data = cli._SHAPE.pack(*arr.shape) + arr.tobytes()
+        os.write(fd, data[:len(data) // 2])
+
+    @pytest.mark.parametrize("failure", [
+        lambda fd, arr: os._exit(0),
+        lambda fd, arr: os.kill(os.getpid(), signal.SIGKILL),
+        lambda fd, arr: os.write(fd, b"\0" * 7),
+        _write_half,
+    ], ids=["exits-before-writing", "killed", "short-header", "short-payload"])
+    def test_helper_failure_falls_back_to_serial_read(self, h0_pair,
+                                                      monkeypatch, forks,
+                                                      failure):
+        expected = self.reference(monkeypatch, *h0_pair)
+        monkeypatch.setattr(cli, "_write_array", failure)
+        x, y = load_pair(*h0_pair)
+        assert len(forks) == 1
+        assert_same_bytes(x, expected[0])
+        assert_same_bytes(y, expected[1])
+        assert_no_child()
+
+    def test_x_fault_kills_the_child(self, tmp_path, monkeypatch, forks):
+        # A child that would take a minute; x's error must not wait for it.
+        y = write_csv(tmp_path / "y.csv", [[0.1, 0.2]])
+        x = tmp_path / "x.csv"
+        x.write_text("1,2\nbroken\n")
+        monkeypatch.setattr(cli, "_write_array", lambda fd, arr: time.sleep(60))
+        start = time.monotonic()
+        code, err = load_pair(str(x), y)
+        assert time.monotonic() - start < 20
+        assert len(forks) == 1
+        assert code == 2 and str(x) in err
+        assert_no_child()
+
+    def test_below_floor_reads_serially(self, h0_pair, monkeypatch):
+        assert os.path.getsize(h0_pair[1]) < cli._FORK_MIN_BYTES
+        x, y = self.serial(monkeypatch, *h0_pair)
+        assert y.shape == (220, 2)
+
+    def test_one_cpu_reads_serially(self, h0_pair, monkeypatch, forks):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        x, y = self.serial(monkeypatch, *h0_pair)
+        assert y.shape == (220, 2)
+        assert not forks
+
+    def test_non_regular_file_reads_serially(self, h0_pair, monkeypatch,
+                                             forks):
+        # A character device: the serial read finds it empty.
+        code, err = self.serial(monkeypatch, h0_pair[0], os.devnull)
+        assert (code, err) == (2, f"error: {os.devnull}: file is empty\n")
+        assert not forks
+
+    def test_module_invocation_above_the_floor(self, tmp_path, monkeypatch,
+                                               capsys):
+        gen = np.random.default_rng(8)
+        paths = [write_csv(tmp_path / f"{g}.csv", gen.uniform(-1, 1, (6000, 10)))
+                 for g in "xy"]
+        assert min(map(os.path.getsize, paths)) >= cli._FORK_MIN_BYTES
+        argv = ["test", *paths, "--epsilon", "1", "--bound-m", "1",
+                "--seed", "4", "--json"]
+        proc = subprocess.run([sys.executable, "-m", "dphotelling.cli", *argv],
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        monkeypatch.setattr(cli, "_FORK_MIN_BYTES", math.inf)
+        assert cli.main(argv) == 0
+        assert proc.stdout == capsys.readouterr().out
+
+
 class TestCmdTest:
     def test_identical_files_no_rejection(self, tmp_path, capsys):
         data = np.linspace(-0.9, 0.9, 50)[:, None]
@@ -420,6 +607,24 @@ class TestConfigurationArguments:
         err = capsys.readouterr().err
         assert code == 2
         assert "alpha must lie in (0, 1)" in err
+
+    @pytest.mark.parametrize("command", ["test", "calibrate"])
+    def test_negative_seed_before_reading_files(self, tmp_path, capsys,
+                                                command):
+        missing = str(tmp_path / "missing.csv")
+        code = cli.main([command, missing, missing, "--epsilon", "1",
+                         "--bound-m", "1", "--seed", "-1"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: --seed must be a non-negative integer\n")
+
+    def test_negative_seed_simulate(self, tmp_path, capsys):
+        out = tmp_path / "ex.csv"
+        code = cli.main(["simulate", "--example32", "--reps", "2", "--seed",
+                         "-3", "--out", str(out), "--quiet"])
+        assert code == 2
+        assert "seed must be a non-negative integer" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["test", "calibrate"])
     def test_infinite_bound(self, h0_pair, capsys, command):

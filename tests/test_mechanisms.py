@@ -297,6 +297,15 @@ class TestEdCovariance:
         out = ed_covariance(RngStream(seed), s, 1e3)
         assert out.tobytes() == ref.tobytes()
 
+    @pytest.mark.parametrize("d", [1, 2, 5, 30])
+    def test_last_direction_costs_no_draw(self, call_count, d):
+        # The one basis row left after d - 1 draws fixes the last direction
+        # up to a sign, which the release v v^T ignores.
+        draws = call_count(randkit, "sample_bingham_vector")
+        ed_covariance(RngStream(d), _summary(400, 1.5, cov=self._random_cov(d, 3)),
+                      3.0)
+        assert len(draws) == d - 1
+
     def test_consistency_trend(self):
         # Fixed budget: the release error shrinks as the sample grows.
         spec = DesignSpec("uniform_cube", 3)

@@ -38,6 +38,13 @@ class TestRngStream:
         b = RngStream(5, 0).substream(1).generator.standard_normal(10)
         assert not np.array_equal(a, b)
 
+    @pytest.mark.parametrize("seed, stream_id, name", [(-1, 0, "seed"),
+                                                        (0, -3, "stream_id")])
+    def test_rejects_negative_identity(self, seed, stream_id, name):
+        with pytest.raises(ValueError,
+                           match=f"{name} must be a non-negative integer"):
+            RngStream(seed, stream_id)
+
     def test_draws_do_not_depend_on_when_the_generator_is_built(self):
         # Read first: the generator exists before any substream.
         early = RngStream(8, 2)

@@ -168,6 +168,10 @@ class TestRunGrid:
         assert "epsilon must be positive" in table.rows[0].error
         assert table.rows[1].reject_rate is not None
 
+    def test_negative_seed_raises(self):
+        with pytest.raises(ValueError, match="seed must be a non-negative"):
+            run_grid(self._small_cells(), 3, master_seed=-1)
+
     def test_per_cell_reps_override(self):
         cells = [CellSpec(design=DesignSpec("uniform_cube", 1), eps=1.0,
                           n=50, kind=ASYMPTOTIC, reps=7)]

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import itertools
 import json
 import math
@@ -30,6 +31,7 @@ from . import simbench
 from .decision import (ASYMPTOTIC, BOOTSTRAP, TestConfig, asymptotic_threshold,
                        quantile_index, run_test)
 from .errors import BoundViolationError, CsvFormatError, NumericalError
+from .mechanisms import BUDGET_PARTS
 from .randkit import RngStream
 
 EXIT_OK = 0
@@ -197,18 +199,6 @@ def _parse_epsilon(raw: str, unsafe_no_privacy: bool) -> float:
     return eps
 
 
-def _check_bootstrap_resolution(alpha: float, b: int) -> None:
-    # The order statistic floor((1-alpha) B) needs headroom above the
-    # quantile: require at least 10 expected exceedances, i.e. B >= 10/alpha.
-    if b * alpha < 10.0:
-        need = math.ceil(10.0 / alpha)
-        raise ValueError(
-            f"--bootstrap-B {b} too small for alpha={alpha}: the threshold "
-            f"index floor((1-alpha)B) = {math.floor((1 - alpha) * b)} leaves "
-            f"fewer than 10 replicates above the quantile; need B >= {need}"
-        )
-
-
 def _load_pair(args):
     """Read both CSV files, y in a forked child when that pays off.
 
@@ -335,23 +325,19 @@ def _fill(pipe, buf) -> bool:
 
 
 def _budget_line(split) -> str:
-    return (f"mean_x={split[0]:g} mean_y={split[1]:g} "
-            f"cov_x={split[2]:g} cov_y={split[3]:g}")
+    return " ".join(f"{name}={part:g}"
+                    for name, part in zip(BUDGET_PARTS, split))
 
 
 def _config(args, threshold_kind: str) -> TestConfig:
-    """The run's ``TestConfig``, built before the B * alpha rule reads alpha."""
+    """The run's ``TestConfig``; it checks alpha, B and the rest itself."""
     if args.seed < 0:
         raise ValueError("--seed must be a non-negative integer")
-    eps = _parse_epsilon(args.epsilon, args.unsafe_no_privacy)
-    cfg = TestConfig(
-        epsilon=eps, bound_m=args.bound_m, alpha=args.alpha,
-        bootstrap_b=args.bootstrap_b, threshold_kind=threshold_kind,
-        clamp=args.clamp,
+    return TestConfig(
+        epsilon=_parse_epsilon(args.epsilon, args.unsafe_no_privacy),
+        bound_m=args.bound_m, alpha=args.alpha, bootstrap_b=args.bootstrap_b,
+        threshold_kind=threshold_kind, clamp=args.clamp,
     )
-    if threshold_kind == BOOTSTRAP:
-        _check_bootstrap_resolution(cfg.alpha, cfg.bootstrap_b)
-    return cfg
 
 
 def cmd_test(args) -> int:
@@ -391,28 +377,28 @@ def cmd_calibrate(args) -> int:
     return EXIT_OK
 
 
-_SIM_CHOICES = ("table1", "table2", "power", "example32")
+# Cell builders of the simulate artifacts; each takes fast = not --full.
+_SIM_GRIDS = {
+    "table1": simbench.table1_cells,
+    "table2": simbench.table2_cells,
+    "power": simbench.power_cells,
+    "example32": lambda fast: simbench.example32_cells(),
+}
 
 
 def cmd_simulate(args) -> int:
-    selected = [name for name in _SIM_CHOICES if getattr(args, name)]
+    selected = [name for name in _SIM_GRIDS if getattr(args, name)]
     if len(selected) != 1:
         raise ValueError(
             "pick exactly one of --table1, --table2, --power, --example32"
         )
     which = selected[0]
-    fast = not args.full
-    if which == "table1":
-        cells = simbench.table1_cells(fast)
-    elif which == "table2":
-        cells = simbench.table2_cells(fast)
-    elif which == "power":
-        cells = simbench.power_cells(fast)
-    else:
-        cells = simbench.example32_cells()
-    reps = args.reps if args.reps is not None else (2000 if which == "example32" else 1000)
+    cells = _SIM_GRIDS[which](not args.full)
+    if args.reps is not None:
+        cells = [dataclasses.replace(cell, reps=args.reps) for cell in cells]
+    # Only example32's cells leave reps unset; they run 2000 by default.
     table = simbench.run_grid(
-        cells, reps, master_seed=args.seed, n_jobs=args.threads,
+        cells, 2000, master_seed=args.seed, n_jobs=args.threads,
         progress=not args.quiet,
     )
     out = args.out if args.out is not None else f"{which}.csv"
@@ -422,12 +408,7 @@ def cmd_simulate(args) -> int:
             summary = {
                 "artifact": which,
                 "master_seed": args.seed,
-                "rows": [
-                    {"design": r.design, "d": r.d, "eps": r.eps, "n": r.n,
-                     "a": r.a, "kind": r.kind, "reps": r.reps,
-                     "reject_rate": r.reject_rate, "error": r.error}
-                    for r in table.rows
-                ],
+                "rows": [dataclasses.asdict(r) for r in table.rows],
             }
             with open(args.summary_json, "w", encoding="utf-8") as fh:
                 json.dump(summary, fh, indent=2, sort_keys=True)
@@ -489,12 +470,12 @@ def build_parser() -> argparse.ArgumentParser:
     speed.add_argument("--full", action="store_true",
                        help="1000 replications everywhere (not desk-scale)")
     p_sim.add_argument("--reps", type=int, default=None,
-                       help="override the default replication count")
+                       help="replications of every cell, replacing the grid's")
     p_sim.add_argument("--out", default=None, help="output CSV path")
     p_sim.add_argument("--summary-json", default=None, dest="summary_json")
     p_sim.add_argument("--seed", type=int, default=0)
     p_sim.add_argument("--threads", type=int, default=1,
-                       help="worker processes for replications")
+                       help="worker processes, at most the CPUs available")
     p_sim.add_argument("--quiet", action="store_true")
     p_sim.set_defaults(func=cmd_simulate)
     return parser

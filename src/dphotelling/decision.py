@@ -16,6 +16,7 @@ the budget and ``TestConfig`` checked when they were built.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -23,9 +24,9 @@ from functools import lru_cache
 import numpy as np
 
 from . import hotelling, numlin, randkit
-from .mechanisms import (PrivacyBudget, PrivatizedSummary, SampleSummary,
-                         _check_bound, compute_summary, laplace_mean_scale,
-                         privatize_summaries)
+from .mechanisms import (BUDGET_PARTS, PrivacyBudget, PrivatizedSummary,
+                         SampleSummary, _check_bound, compute_summary,
+                         laplace_mean_scale, privatize_summaries)
 
 ASYMPTOTIC = "asymptotic"
 BOOTSTRAP = "bootstrap"
@@ -36,8 +37,10 @@ class TestConfig:
     """Knobs of one private two-sample test run.
 
     alpha lies in (0, 1), epsilon is positive (infinite only as the
-    privacy-off sentinel), bound_m is positive and finite, and
-    floor((1 - alpha) B) >= 1.
+    privacy-off sentinel) and bound_m is positive and finite. Under the
+    bootstrap rule the threshold is the order statistic floor((1 - alpha) B)
+    of B replicates: it must be >= 1, and B * alpha >= 10 leaves at least
+    ten replicates above it. The asymptotic rule never reads B.
     """
 
     __test__ = False  # not a pytest case, despite the name
@@ -57,11 +60,15 @@ class TestConfig:
         _check_bound(self.bound_m)
         if self.threshold_kind not in (ASYMPTOTIC, BOOTSTRAP):
             raise ValueError(f"unknown threshold kind {self.threshold_kind!r}")
-        if self.bootstrap_b < 1 or math.floor((1.0 - self.alpha) * self.bootstrap_b) < 1:
-            raise ValueError(
-                f"bootstrap_b={self.bootstrap_b} too small for alpha={self.alpha}: "
-                "need floor((1-alpha) B) >= 1"
-            )
+        if self.threshold_kind == BOOTSTRAP:
+            b, alpha = self.bootstrap_b, self.alpha
+            index = math.floor((1.0 - alpha) * b)
+            if index < 1 or b * alpha < 10.0:
+                need = max(math.ceil(10.0 / alpha), math.ceil(1 / (1 - alpha)))
+                raise ValueError(
+                    f"bootstrap_b={b} too small for alpha={alpha}: threshold "
+                    f"index floor((1-alpha) B) = {index} must be >= 1 with at "
+                    f"least 10 replicates above it; need B >= {need}")
 
 
 @dataclass(frozen=True)
@@ -82,23 +89,9 @@ class TestOutcome:
     budget_split: tuple
 
     def to_dict(self) -> dict:
-        return {
-            "statistic": self.statistic,
-            "threshold": self.threshold,
-            "threshold_kind": self.threshold_kind,
-            "reject": self.reject,
-            "dim": self.dim,
-            "n1": self.n1,
-            "n2": self.n2,
-            "alpha": self.alpha,
-            "epsilon": self.epsilon,
-            "budget_split": {
-                "mean_x": self.budget_split[0],
-                "mean_y": self.budget_split[1],
-                "cov_x": self.budget_split[2],
-                "cov_y": self.budget_split[3],
-            },
-        }
+        out = dataclasses.asdict(self)
+        out["budget_split"] = dict(zip(BUDGET_PARTS, self.budget_split))
+        return out
 
 
 @lru_cache(maxsize=256)
@@ -180,20 +173,11 @@ def run_on_summaries(rng: randkit.RngStream, sx: SampleSummary,
 
 def run_test(rng: randkit.RngStream, data_x, data_y,
              cfg: TestConfig) -> TestOutcome:
-    """Full pipeline: summarize both samples, then ``run_on_summaries``."""
-    x = np.asarray(data_x, dtype=float)
-    y = np.asarray(data_y, dtype=float)
-    if x.ndim == 1:
-        x = x[:, None]
-    if y.ndim == 1:
-        y = y[:, None]
-    if x.ndim != 2 or y.ndim != 2:
-        raise ValueError("data must be n-by-d matrices")
-    if x.shape[1] != y.shape[1]:
-        raise ValueError(
-            f"samples disagree in dimension: {x.shape[1]} vs {y.shape[1]}"
-        )
+    """Full pipeline: summarize both samples, then ``run_on_summaries``.
 
-    sx = compute_summary(x, cfg.bound_m, clamp=cfg.clamp)
-    sy = compute_summary(y, cfg.bound_m, clamp=cfg.clamp)
+    ``compute_summary`` checks each sample and ``privatize_summaries`` that
+    the two agree in dimension.
+    """
+    sx = compute_summary(data_x, cfg.bound_m, clamp=cfg.clamp)
+    sy = compute_summary(data_y, cfg.bound_m, clamp=cfg.clamp)
     return run_on_summaries(rng, sx, sy, cfg)

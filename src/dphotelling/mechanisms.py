@@ -15,8 +15,9 @@ non-private counterpart.
 Inputs are checked where they enter: ``compute_summary`` and
 ``SampleSummary`` check the data, n, m (positive and finite), the mean
 bound and the covariance's symmetry; ``PrivacyBudget`` checks every part;
-``PrivatizedSummary`` checks the releases and their metadata. The releases take a ``SampleSummary`` and
-check only their scalar budget part.
+``PrivatizedSummary`` checks the releases and their metadata. The
+releases take a ``SampleSummary`` and check only their scalar budget part
+and that the noise scales it yields neither overflow nor vanish.
 """
 
 from __future__ import annotations
@@ -45,6 +46,10 @@ def _check_eps(eps: float, name: str = "epsilon") -> float:
     return eps
 
 
+# Names of the four budget parts, in the order of ``PrivacyBudget.parts``.
+BUDGET_PARTS = ("mean_x", "mean_y", "cov_x", "cov_y")
+
+
 @dataclass(frozen=True)
 class PrivacyBudget:
     """Total privacy level and its four-way split.
@@ -63,7 +68,7 @@ class PrivacyBudget:
     def __post_init__(self):
         _check_eps(self.epsilon_total, "epsilon_total")
         parts = self.parts
-        for name, part in zip(("mean_x", "mean_y", "cov_x", "cov_y"), parts):
+        for name, part in zip(BUDGET_PARTS, parts):
             _check_eps(part, name)
         total = math.fsum(parts)
         if total != self.epsilon_total:
@@ -188,6 +193,12 @@ def laplace_mean_scale(n: int, m: float, d: int, eps_part: float) -> float:
     return 0.0 if not math.isfinite(eps_part) else scale
 
 
+def _noise_fault(what: str, eps_part: float, s: SampleSummary) -> ValueError:
+    """The error of a release whose noise scale overflows or vanishes."""
+    return ValueError(f"{what} for eps_part={eps_part!r}, bound_m={s.bound_m!r}, "
+                      f"n={s.n}, d={s.dim}")
+
+
 def compute_summary(data, m: float, clamp: bool = False) -> SampleSummary:
     """Sample mean and covariance (1/(n-1) normalization) of bounded rows.
 
@@ -230,14 +241,18 @@ def privatize_mean(rng: randkit.RngStream, s: SampleSummary,
     """Laplace mechanism for the d-dimensional mean of a group summary.
 
     Adds i.i.d. Laplace(0, 2md/(n * eps_part)) per coordinate. The
-    privacy-off sentinel returns the mean unchanged.
+    privacy-off sentinel returns the mean unchanged. A finite eps_part
+    whose scale b underflows to 0, or whose variance 2 b^2 (the pooled
+    correction adds it) overflows, raises ValueError.
     """
     _check_eps(eps_part, "eps_part")
-    d = s.dim
-    scale = laplace_mean_scale(s.n, s.bound_m, d, eps_part)
-    if scale == 0.0:
+    if math.isinf(eps_part):
         return s.mean.copy()
-    return s.mean + randkit.sample_laplace(rng, scale, size=d)
+    scale = laplace_mean_scale(s.n, s.bound_m, s.dim, eps_part)
+    if not (scale > 0.0 and math.isfinite(2.0 * scale * scale)):
+        raise _noise_fault(f"mean release: Laplace scale b = {scale!r} is "
+                           "zero or its variance 2 b^2 overflows", eps_part, s)
+    return s.mean + randkit.sample_laplace(rng, scale, size=s.dim)
 
 
 def ed_covariance(rng: randkit.RngStream, s: SampleSummary,
@@ -274,11 +289,24 @@ def ed_covariance(rng: randkit.RngStream, s: SampleSummary,
 
     Always returns a symmetric PSD matrix. Under the privacy-off sentinel
     the exact eigenvalues and eigenvectors are kept, so the release equals
-    cov_hat up to recomposition round-off.
+    cov_hat up to recomposition round-off. A rescaling n/(d m^2) or
+    d m^2/n that is zero or not finite, or an overflowing eigenvalue noise
+    scale, raises ValueError.
     """
     _check_eps(eps_part, "eps_part")
     n, m, d = s.n, s.bound_m, s.dim
-    scaled = (n / (d * m * m)) * s.cov
+    dm2 = d * m * m
+    up = n / dm2 if dm2 > 0.0 else math.inf
+    unscale = dm2 / n
+    eps_step = eps_part if d == 1 else eps_part / (d + 1)
+    noise_scale = 2.0 / eps_step
+    if not (0.0 < up < math.inf and 0.0 < unscale < math.inf
+            and math.isfinite(noise_scale)):
+        raise _noise_fault(f"covariance release: n/(d m^2) = {up!r}, "
+                           f"d m^2/n = {unscale!r} or 2/eps_step = "
+                           f"{noise_scale!r} is zero or not finite",
+                           eps_part, s)
+    scaled = up * s.cov
     dec = numlin.symmetric_eigen(scaled)
     lam_hat = dec.eigenvalues
     psd_tol = 1e-10 * max(1.0, numlin.frobenius_norm(scaled))
@@ -288,16 +316,13 @@ def ed_covariance(rng: randkit.RngStream, s: SampleSummary,
             f"min eigenvalue {lam_hat[-1]:.3e}"
         )
 
-    unscale = (d * m * m) / n
-
     if not math.isfinite(eps_part):
         lam_bar = np.abs(lam_hat)
         vecs = dec.eigenvectors
         out = (vecs * lam_bar) @ vecs.T
         return unscale * 0.5 * (out + out.T)
 
-    eps_step = eps_part if d == 1 else eps_part / (d + 1)
-    noise = randkit.sample_laplace(rng, 2.0 / eps_step, size=d)
+    noise = randkit.sample_laplace(rng, noise_scale, size=d)
     lam_bar = np.abs(lam_hat + noise)
 
     if d == 1:

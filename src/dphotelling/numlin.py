@@ -3,8 +3,10 @@
 Everything here operates on small dense symmetric matrices (d up to a few
 hundred) represented as plain numpy arrays. All functions are pure and
 deterministic: the eigensolver is LAPACK's symmetric driver behind a fixed
-eigenvalue order and eigenvector sign convention, so identical inputs give
-identical outputs under the same numpy/LAPACK build.
+eigenvalue order, so identical inputs give identical outputs under the same
+numpy/LAPACK build. Eigenvector signs are LAPACK's: every consumer forms
+V f(diag) V^T or squares the coordinates u V, which a column's sign leaves
+bit for bit unchanged.
 
 ``as_symmetric`` is the one symmetry check. The types and functions that
 admit a matrix from outside call it once; the kernels below it take a
@@ -25,11 +27,11 @@ from .errors import ConvergenceError, SingularMatrixError
 SYMMETRY_TOL = 1e-12
 
 
-def as_symmetric(a, *, tol: float = SYMMETRY_TOL) -> np.ndarray:
+def as_symmetric(a) -> np.ndarray:
     """Validate that ``a`` is a square symmetric matrix and return it as float64.
 
     Raises ValueError if the matrix is not square or the symmetry defect
-    exceeds ``tol * (1 + max|entry|)``.
+    exceeds ``SYMMETRY_TOL * (1 + max|entry|)``.
     """
     m = np.asarray(a, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -44,7 +46,7 @@ def as_symmetric(a, *, tol: float = SYMMETRY_TOL) -> np.ndarray:
         # m - m.T would warn on inf - inf.
         return m
     defect = abs(m - m.T).max()
-    if defect > tol * scale:
+    if defect > SYMMETRY_TOL * scale:
         raise ValueError(f"matrix is not symmetric: max asymmetry {defect:.3e}")
     return m
 
@@ -62,8 +64,9 @@ class EigenDecomposition:
     """Spectral decomposition A = V diag(w) V^T.
 
     ``eigenvalues`` are sorted in non-increasing order; column k of
-    ``eigenvectors`` belongs to eigenvalue k. Each eigenvector has its
-    first nonzero component positive.
+    ``eigenvectors`` belongs to eigenvalue k. The order is fixed, because
+    the ED release pairs its eigenvalue noise with eigenvalues by position;
+    the sign of a column is whatever LAPACK returned.
     """
 
     eigenvalues: np.ndarray
@@ -74,13 +77,11 @@ def symmetric_eigen(a: np.ndarray) -> EigenDecomposition:
     """Eigendecomposition of a symmetric matrix by LAPACK (``np.linalg.eigh``).
 
     Eigenvalues are reordered descending by a stable sort, so tied
-    eigenvalues keep the order LAPACK returned them in, and each
-    eigenvector's first component of magnitude > 1e-12 is made positive.
-    A 1x1 input is returned directly. Raises ConvergenceError if LAPACK
-    fails or any output is non-finite (e.g. the input holds NaN or inf).
+    eigenvalues keep the order LAPACK returned them in. A 1x1 input is
+    returned directly. Raises ConvergenceError if LAPACK fails or any
+    output is non-finite (e.g. the input holds NaN or inf).
     """
-    d = a.shape[0]
-    if d == 1:
+    if a.shape[0] == 1:
         w = a[0].copy()
         if not math.isfinite(w[0]):
             raise ConvergenceError(_NON_FINITE)
@@ -93,8 +94,6 @@ def symmetric_eigen(a: np.ndarray) -> EigenDecomposition:
     order = np.argsort(-w, kind="stable")
     w = w[order]
     v = v[:, order]
-    lead = np.argmax(np.abs(v) > 1e-12, axis=0)
-    v[:, v[lead, np.arange(d)] < 0.0] *= -1.0
     if not (np.isfinite(w).all() and np.isfinite(v).all()):
         raise ConvergenceError(_NON_FINITE)
     w.setflags(write=False)

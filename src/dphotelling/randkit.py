@@ -73,8 +73,6 @@ def sample_laplace(rng: RngStream, scale: float, size=None):
     """
     if not scale > 0.0:
         raise ValueError(f"Laplace scale must be positive, got {scale}")
-    if size is None:
-        return float(rng.generator.laplace(0.0, scale))
     return rng.generator.laplace(0.0, scale, size=size)
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import math
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -204,45 +205,54 @@ def _run_block(args):
         return cell_index, 0, f"{type(exc).__name__}: {exc}"
 
 
+def _available_cpus() -> int:
+    """CPUs this process may run on."""
+    return (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+
+
 def run_grid(cells, reps: int, *, alpha: float = 0.05, bootstrap_b: int = 200,
              master_seed: int = 0, n_jobs: int = 1,
              progress: bool = False) -> RejectionTable:
-    """Run every cell for ``reps`` replications and tabulate rejection rates.
+    """Run every cell and tabulate rejection rates.
 
-    Each replication draws fresh data and runs the full private test on its
-    own substream. A failing cell is marked with its error instead of
-    aborting the rest of the grid. ``n_jobs > 1`` distributes replication
-    blocks over worker processes; results are identical to a serial run.
+    A cell runs ``cell.reps`` replications, or ``reps`` when it sets none;
+    each count must be positive. Each replication draws fresh data and runs
+    the full private test on its own substream. A failing cell is marked
+    with its error instead of aborting the rest of the grid. A cell's
+    replications form about 4 * ``n_jobs`` blocks, which run on
+    min(n_jobs, blocks, available CPUs) processes; results are identical
+    to a serial run.
     """
     cells = list(cells)
-    if reps < 1:
-        raise ValueError("reps must be positive")
+    if n_jobs < 1:
+        raise ValueError(f"n_jobs must be at least 1, got {n_jobs}")
     # A negative seed fails here, not as an NA in every cell.
     RngStream(master_seed)
     tasks = []
     cell_reps = []
+    pending = [0] * len(cells)  # blocks of each cell not yet consumed
     for ci, cell in enumerate(cells):
         r = cell.reps if cell.reps is not None else reps
+        if r < 1:
+            raise ValueError(f"cell {ci}: reps must be positive, got {r}")
         cell_reps.append(r)
-        block = max(1, -(-r // max(1, n_jobs * 4)))
+        block = -(-r // (n_jobs * 4))
         for lo in range(0, r, block):
             tasks.append((master_seed, ci, cell, lo, min(r, lo + block),
                           alpha, bootstrap_b))
+            pending[ci] += 1
 
     hits = [0] * len(cells)
     errors: list = [None] * len(cells)
-    done = [0] * len(cells)
-    blocks_total = [0] * len(cells)
-    for t in tasks:
-        blocks_total[t[1]] += 1
 
     def consume(results):
         for ci, h, err in results:
             hits[ci] += h
             if err is not None and errors[ci] is None:
                 errors[ci] = err
-            done[ci] += 1
-            if progress and done[ci] == blocks_total[ci]:
+            pending[ci] -= 1
+            if progress and not pending[ci]:
                 c = cells[ci]
                 rate = "failed" if errors[ci] else f"{hits[ci] / cell_reps[ci]:.4f}"
                 print(
@@ -251,10 +261,12 @@ def run_grid(cells, reps: int, *, alpha: float = 0.05, bootstrap_b: int = 200,
                     file=sys.stderr,
                 )
 
-    if n_jobs <= 1:
+    # A pool starts all its workers at the first task: start no idle ones.
+    workers = min(n_jobs, len(tasks), _available_cpus())
+    if workers <= 1:
         consume(map(_run_block, tasks))
     else:
-        with ProcessPoolExecutor(max_workers=n_jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             consume(pool.map(_run_block, tasks))
 
     rows = []

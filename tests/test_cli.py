@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from dphotelling import cli, randkit
+from dphotelling import cli, randkit, simbench
 from dphotelling.decision import (TestConfig, asymptotic_threshold,
                                   bootstrap_threshold)
 from dphotelling.errors import NumericalError
@@ -466,7 +466,16 @@ class TestCmdTest:
                          "--alpha", "0.05", "--bootstrap-B", "10"])
         err = capsys.readouterr().err
         assert code == 2
-        assert "9" in err  # floor(0.95 * 10)
+        assert "floor((1-alpha) B) = 9" in err
+        assert "need B >= 200" in err
+
+    def test_asymptotic_mode_ignores_bootstrap_b(self, h0_pair, capsys):
+        # floor(0.001 * 200) = 0, which only the bootstrap rule would read.
+        x, y = h0_pair
+        code = cli.main(["test", x, y, "--epsilon", "1", "--bound-m", "1",
+                         "--alpha", "0.999", "--mode", "asymptotic"])
+        assert code == 0
+        assert "asymptotic, alpha=0.999" in capsys.readouterr().out
 
     def test_bound_violation_exit_code(self, tmp_path, capsys):
         x = write_csv(tmp_path / "x.csv", [[0.5], [2.0]])
@@ -634,6 +643,25 @@ class TestConfigurationArguments:
         assert code == 2
         assert "bound_m must be positive and finite" in err
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("args, fault", [
+        (["--epsilon", "1e-320", "--bound-m", "1"], "mean release"),
+        (["--epsilon", "1e-300", "--bound-m", "1"], "mean release"),
+        (["--epsilon", "1", "--bound-m", "1e200"], "mean release"),
+        (["--epsilon", "1", "--bound-m", "1e-300", "--clamp"],
+         "covariance release"),
+    ], ids=["eps-1e-320", "eps-1e-300", "bound-1e200", "bound-1e-300"])
+    def test_noise_scale_out_of_range(self, tmp_path, capsys, args, fault):
+        gen = np.random.default_rng(0)
+        x = write_csv(tmp_path / "x.csv", gen.uniform(-1, 1, (50, 3)))
+        y = write_csv(tmp_path / "y.csv", gen.uniform(-1, 1, (40, 3)))
+        code = cli.main(["test", x, y, *args])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert fault in err
+        for name in ("eps_part=", "bound_m=", "n=50", "d=3"):
+            assert name in err
+
 
 class TestCmdCalibrate:
     def test_reports_chi2_reference(self, tmp_path, capsys):
@@ -726,6 +754,35 @@ class TestCmdSimulate:
         code = cli.main(["simulate", "--example32", "--reps", "5",
                          "--out", "/nonexistent-dir/x.csv", "--quiet"])
         assert code == 2
+
+    @pytest.mark.parametrize("artifact", ["--table1", "--table2", "--power",
+                                          "--example32"])
+    def test_reps_replaces_every_cells_count(self, monkeypatch, artifact):
+        seen = []
+
+        def fake_run_grid(cells, reps, **kwargs):
+            seen.extend(cells)
+            return simbench.RejectionTable(rows=())
+
+        monkeypatch.setattr(simbench, "run_grid", fake_run_grid)
+        monkeypatch.setattr(simbench, "write_table_csv", lambda *args: None)
+        assert cli.main(["simulate", artifact, "--reps", "7", "--quiet"]) == 0
+        assert seen and all(cell.reps == 7 for cell in seen)
+
+    @pytest.mark.parametrize("counts, message", [
+        (["--reps", "0"], "reps must be positive"),
+        (["--reps", "-3"], "reps must be positive"),
+        (["--reps", "2", "--threads", "0"], "n_jobs must be at least 1"),
+        (["--reps", "2", "--threads", "-4"], "n_jobs must be at least 1"),
+    ])
+    def test_counts_below_one_rejected(self, tmp_path, capsys, counts,
+                                       message):
+        out = tmp_path / "ex.csv"
+        code = cli.main(["simulate", "--example32", *counts, "--out",
+                         str(out), "--quiet"])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     def test_deterministic_output_files(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -51,6 +51,22 @@ class TestTestConfig:
         with pytest.raises(ValueError, match="bootstrap_b"):
             TestConfig(epsilon=1.0, bound_m=1.0, alpha=0.9, bootstrap_b=1)
 
+    def test_bootstrap_needs_ten_replicates_above_the_index(self):
+        # floor(0.95 * 100) = 95 leaves 5 above it; B * alpha >= 10 needs 200.
+        with pytest.raises(ValueError,
+                           match=r"floor\(\(1-alpha\) B\) = 95 .* B >= 200"):
+            TestConfig(epsilon=1.0, bound_m=1.0, alpha=0.05, bootstrap_b=100)
+        assert TestConfig(epsilon=1.0, bound_m=1.0, alpha=0.05,
+                          bootstrap_b=200).bootstrap_b == 200
+
+    def test_asymptotic_rule_does_not_check_b(self):
+        # floor(0.001 * 200) = 0, but the chi-squared rule never reads B.
+        cfg = TestConfig(epsilon=1.0, bound_m=1.0, alpha=0.999,
+                         threshold_kind=ASYMPTOTIC)
+        assert cfg.alpha == 0.999
+        with pytest.raises(ValueError, match="bootstrap_b=200"):
+            TestConfig(epsilon=1.0, bound_m=1.0, alpha=0.999)
+
     def test_rejects_bad_alpha(self):
         for alpha in (0.0, 1.0, -0.5):
             with pytest.raises(ValueError):
@@ -75,7 +91,8 @@ class TestBootstrapThreshold:
             cov_x_dp=np.zeros((2, 2)), cov_y_dp=np.zeros((2, 2)),
             budget=PrivacyBudget.even_split(PRIVACY_OFF),
             n1=10, n2=10, bound_m=1.0)
-        cfg = TestConfig(epsilon=PRIVACY_OFF, bound_m=1.0, bootstrap_b=50)
+        cfg = TestConfig(epsilon=PRIVACY_OFF, bound_m=1.0, alpha=0.2,
+                         bootstrap_b=50)
         assert bootstrap_threshold(RngStream(0), ps, cfg,
                                    private_whitener(ps)) == 0.0
 

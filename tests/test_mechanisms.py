@@ -167,8 +167,33 @@ class TestPrivatizeMean:
         with pytest.raises(ValueError):
             privatize_mean(RngStream(0), _summary(10, 1.0, mean=[0.5]), 0.0)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("m, eps_part, fault", [
+        (1.0, 1e-300, r"variance 2 b\^2 overflows"),
+        (5e-324, 10.0, "b = 0.0 is zero"),
+    ])
+    def test_scale_out_of_range(self, m, eps_part, fault):
+        with pytest.raises(ValueError, match=fault) as info:
+            privatize_mean(RngStream(0), _summary(100, m, mean=[0.0]),
+                           eps_part)
+        assert f"eps_part={eps_part!r}, bound_m={m!r}, n=100, d=1" in str(
+            info.value)
+
 
 class TestEdCovariance:
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("m, eps_part, fault", [
+        (1e200, 1.0, r"n/\(d m\^2\) = 0.0"),
+        (1e-300, 1.0, r"n/\(d m\^2\) = inf"),
+        (1.0, 1e-308, "2/eps_step = inf"),
+    ])
+    def test_noise_scale_out_of_range(self, m, eps_part, fault):
+        s = _summary(50, m, cov=np.zeros((3, 3)))
+        with pytest.raises(ValueError, match=fault) as info:
+            ed_covariance(RngStream(0), s, eps_part)
+        assert f"eps_part={eps_part!r}, bound_m={m!r}, n=50, d=3" in str(
+            info.value)
+
     def test_privacy_off_recomposes_input(self):
         gen = np.random.default_rng(4)
         for d in (1, 2, 4, 6):

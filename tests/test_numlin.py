@@ -3,10 +3,11 @@ import pytest
 
 from dphotelling import numlin
 from dphotelling.errors import ConvergenceError, SingularMatrixError
+from dphotelling.randkit import RngStream, sample_bingham_vector
 
 
 class TestJacobiEigen:
-    """Contract of ``numlin.symmetric_eigen``: order, sign, reconstruction.
+    """Contract of ``numlin.symmetric_eigen``: order and reconstruction.
 
     The class name predates the LAPACK-backed solver and is kept so that
     these test IDs stay comparable across solver changes; newer cases are
@@ -29,9 +30,12 @@ class TestJacobiEigen:
         # characteristic polynomial of [[2,1],[1,2]]: (2-l)^2 - 1 = 0
         dec = numlin.symmetric_eigen(np.array([[2.0, 1.0], [1.0, 2.0]]))
         assert dec.eigenvalues == pytest.approx([3.0, 1.0], abs=1e-12)
-        s = 1.0 / np.sqrt(2.0)
-        assert dec.eigenvectors[:, 0] == pytest.approx([s, s], abs=1e-12)
-        assert dec.eigenvectors[:, 1] == pytest.approx([s, -s], abs=1e-12)
+        # Eigenvectors are fixed up to a sign, which v v^T drops.
+        v = dec.eigenvectors
+        assert np.outer(v[:, 0], v[:, 0]) == pytest.approx(
+            np.array([[0.5, 0.5], [0.5, 0.5]]), abs=1e-12)
+        assert np.outer(v[:, 1], v[:, 1]) == pytest.approx(
+            np.array([[0.5, -0.5], [-0.5, 0.5]]), abs=1e-12)
 
     def test_fuzzed_reconstruction_and_orthogonality(self):
         gen = np.random.default_rng(1234)
@@ -64,16 +68,6 @@ class TestJacobiEigen:
         d2 = numlin.symmetric_eigen(a)
         assert d1.eigenvalues.tobytes() == d2.eigenvalues.tobytes()
         assert d1.eigenvectors.tobytes() == d2.eigenvectors.tobytes()
-
-    def test_sign_convention(self):
-        gen = np.random.default_rng(8)
-        a = gen.uniform(-1.0, 1.0, (5, 5))
-        a = 0.5 * (a + a.T)
-        vecs = numlin.symmetric_eigen(a).eigenvectors
-        for k in range(5):
-            col = vecs[:, k]
-            lead = np.nonzero(np.abs(col) > 1e-12)[0][0]
-            assert col[lead] > 0.0
 
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError, match="symmetric"):
@@ -147,6 +141,45 @@ class TestSymmetricEigen:
         monkeypatch.setattr(np.linalg, "eigh", fail)
         with pytest.raises(ConvergenceError, match="did not converge"):
             numlin.symmetric_eigen(np.eye(2))
+
+
+class TestSignInvariance:
+    """No consumer of an eigendecomposition sees an eigenvector's sign.
+
+    Each forms V f(diag) V^T or squares the coordinates u V, and negating a
+    column negates both factors of every product it enters, exactly.
+    """
+
+    FLIP = np.array([-1.0, 1.0, -1.0, -1.0, 1.0])
+
+    @staticmethod
+    def _matrix():
+        gen = np.random.default_rng(8)
+        a = gen.uniform(-1.0, 1.0, (5, 5))
+        return a @ a.T + 0.1 * np.eye(5)
+
+    def _flipped(self, dec):
+        return numlin.EigenDecomposition(
+            eigenvalues=dec.eigenvalues,
+            eigenvectors=dec.eigenvectors * self.FLIP)
+
+    @pytest.mark.parametrize("kernel", [
+        lambda a: numlin.inverse_sqrt_psd(a, 1e-12), numlin.psd_sqrt,
+    ], ids=["inverse_sqrt_psd", "psd_sqrt"])
+    def test_square_roots(self, monkeypatch, kernel):
+        a = self._matrix()
+        before = kernel(a).tobytes()
+        eigen = numlin.symmetric_eigen
+        monkeypatch.setattr(numlin, "symmetric_eigen",
+                            lambda m: self._flipped(eigen(m)))
+        assert kernel(a).tobytes() == before
+
+    def test_sphere_sampler(self):
+        dec = numlin.symmetric_eigen(self._matrix())
+        for seed in range(5):
+            u = sample_bingham_vector(RngStream(seed), dec, 3.0)
+            v = sample_bingham_vector(RngStream(seed), self._flipped(dec), 3.0)
+            assert v.tobytes() == u.tobytes()
 
 
 class TestInverseSqrtPsd:

@@ -126,10 +126,11 @@ class TestRunGrid:
         ]
 
     def test_deterministic_across_parallelism(self, tmp_path):
-        t1 = run_grid(self._small_cells(), 40, bootstrap_b=50, master_seed=3,
-                      n_jobs=1)
-        t2 = run_grid(self._small_cells(), 40, bootstrap_b=50, master_seed=3,
-                      n_jobs=2)
+        t1 = run_grid(self._small_cells(), 40, alpha=0.2, bootstrap_b=50,
+                      master_seed=3, n_jobs=1)
+        t2 = run_grid(self._small_cells(), 40, alpha=0.2, bootstrap_b=50,
+                      master_seed=3, n_jobs=2)
+        assert all(r.error is None for r in t1.rows)
         assert t1 == t2
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
         write_table_csv(t1, p1)
@@ -137,7 +138,8 @@ class TestRunGrid:
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_rows_carry_cell_metadata(self):
-        table = run_grid(self._small_cells(), 10, bootstrap_b=50, master_seed=1)
+        table = run_grid(self._small_cells(), 10, alpha=0.2, bootstrap_b=50,
+                         master_seed=1)
         assert [r.kind for r in table.rows] == [BOOTSTRAP, ASYMPTOTIC]
         assert all(r.reps == 10 for r in table.rows)
         assert all(0.0 <= r.reject_rate <= 1.0 for r in table.rows)
@@ -178,12 +180,79 @@ class TestRunGrid:
         table = run_grid(cells, 99, master_seed=0)
         assert table.rows[0].reps == 7
 
+    @pytest.mark.parametrize("cell_reps", [0, -3])
+    def test_cell_reps_below_one_raise(self, cell_reps):
+        cells = [CellSpec(design=DesignSpec("uniform_cube", 1), eps=1.0,
+                          n=50, kind=ASYMPTOTIC, reps=cell_reps)]
+        with pytest.raises(ValueError, match="reps must be positive"):
+            run_grid(cells, 5, master_seed=0)
+
+    @pytest.mark.parametrize("n_jobs", [0, -4])
+    def test_n_jobs_below_one_raise(self, n_jobs):
+        with pytest.raises(ValueError, match="n_jobs must be at least 1"):
+            run_grid(self._small_cells(), 3, n_jobs=n_jobs)
+
+
+class TestWorkerCount:
+    """``run_grid`` starts no more workers than blocks or available CPUs.
+
+    A fake executor records its size and maps serially, so no real pool
+    starts.
+    """
+
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(simbench, "ProcessPoolExecutor", SerialPool)
+        return sizes
+
+    @staticmethod
+    def _cells(reps):
+        return [CellSpec(design=DesignSpec("uniform_cube", 1), eps=1.0,
+                         n=20, kind=ASYMPTOTIC, reps=reps)]
+
+    def test_capped_by_available_cpus(self, monkeypatch, pools):
+        monkeypatch.setattr(simbench, "_available_cpus", lambda: 2)
+        table = run_grid(self._cells(40), 1, n_jobs=8)
+        assert pools == [2]
+        assert table == run_grid(self._cells(40), 1, n_jobs=8)
+
+    def test_capped_by_blocks(self, monkeypatch, pools):
+        monkeypatch.setattr(simbench, "_available_cpus", lambda: 64)
+        run_grid(self._cells(2), 1, n_jobs=3)
+        assert pools == [2]
+
+    def test_one_block_runs_serially(self, monkeypatch, pools):
+        monkeypatch.setattr(simbench, "_available_cpus", lambda: 64)
+        run_grid(self._cells(1), 1, n_jobs=3)
+        assert pools == []
+
+    def test_one_cpu_runs_serially(self, monkeypatch, pools):
+        monkeypatch.setattr(simbench, "_available_cpus", lambda: 1)
+        run_grid(self._cells(12), 1, n_jobs=4)
+        assert pools == []
+
 
 class TestCsvRoundTrip:
     def test_lossless(self, tmp_path):
         cells = [CellSpec(design=DesignSpec("toeplitz", 2, a=1.0), eps=0.3,
                           n=60, kind=BOOTSTRAP)]
-        table = run_grid(cells, 8, bootstrap_b=40, master_seed=9)
+        table = run_grid(cells, 8, alpha=0.25, bootstrap_b=40, master_seed=9)
+        assert table.rows[0].reject_rate is not None
         path = tmp_path / "t.csv"
         write_table_csv(table, path)
         back = read_table_csv(path)

@@ -10,8 +10,10 @@ numpy build: equal digests mean that every output below has the same bytes.
 The digest covers
   - the repr of ``run_test``'s outcome for d in {1, 2, 3, 10, 30},
     epsilon in {0.3, 1, 2, inf}, both threshold rules, clamping on and off;
-  - the standard output of ``test --json`` and ``calibrate`` on two CSV
-    pairs, d = 30 with n = 1000 and d = 10 with n = 1e5;
+  - the standard output of ``test --json``, ``test`` and ``calibrate`` on
+    two CSV pairs, d = 30 with n = 1000 and d = 10 with n = 1e5;
+  - the CSV and ``--summary-json`` files of ``simulate --example32
+    --reps 20``;
   - ``run_grid`` tables at d = 1 and d = 10, serial and on two processes.
 
 BLAS runs on one thread unless the environment says otherwise, so that
@@ -61,7 +63,7 @@ def outcomes():
 
 
 def cli_outputs(work: Path):
-    """stdout of `test --json` and `calibrate` on two generated CSV pairs."""
+    """stdout of `test --json`, `test` and `calibrate` on two CSV pairs."""
     for d, n in ((30, 1000), (10, 100_000)):
         gen = np.random.default_rng(d)
         paths = []
@@ -70,12 +72,21 @@ def cli_outputs(work: Path):
             np.savetxt(path, gen.uniform(-1.0, 1.0, (n, d)), fmt="%.17g",
                        delimiter=",")
             paths.append(str(path))
-        for argv in (["test", *paths, "--json"], ["calibrate", *paths]):
+        for argv in (["test", *paths, "--json"], ["test", *paths],
+                     ["calibrate", *paths]):
             buf = io.StringIO()
             with contextlib.redirect_stdout(buf):
                 code = cli.main([*argv, "--epsilon", "1", "--bound-m", "1",
                                  "--seed", "3"])
             yield f"{argv[0]} d={d} exit={code}\n{buf.getvalue()}"
+
+
+def simulate_files(work: Path):
+    """The CSV and summary JSON that `simulate --example32 --reps 20` writes."""
+    table, summary = work / "example32.csv", work / "example32.json"
+    code = cli.main(["simulate", "--example32", "--reps", "20", "--quiet",
+                     "--out", str(table), "--summary-json", str(summary)])
+    yield f"simulate exit={code}\n{table.read_text()}\n{summary.read_text()}"
 
 
 def grid_tables():
@@ -99,7 +110,9 @@ def main() -> None:
         sys.exit(f"dphotelling imported from {imported}, not from {SRC}")
     digest = hashlib.sha256()
     with tempfile.TemporaryDirectory() as work:
-        for part in (*outcomes(), *cli_outputs(Path(work)), *grid_tables()):
+        work = Path(work)
+        for part in (*outcomes(), *cli_outputs(work), *simulate_files(work),
+                     *grid_tables()):
             digest.update(part.encode("utf-8") + b"\0")
     print(digest.hexdigest())
 

@@ -10,14 +10,13 @@ a parametric bootstrap that tracks the privatization noise.
 from .decision import (ASYMPTOTIC, BOOTSTRAP, TestConfig, TestOutcome,
                        asymptotic_threshold, bootstrap_threshold,
                        run_on_summaries, run_test)
-from .hotelling import (pooled_covariance, private_pooled_covariance,
-                        private_whitener, t2_statistic, t_dp_statistic)
+from .hotelling import (private_pooled_covariance, private_whitener,
+                        t_dp_statistic)
 from .mechanisms import (PRIVACY_OFF, PrivacyBudget, PrivatizedSummary,
                          SampleSummary, compute_summary, ed_covariance,
                          privatize_mean, privatize_summaries)
-from .randkit import RngStream, chi2_cdf, chi2_quantile, sample_laplace, solve_b
-from .simbench import (DesignSpec, CellSpec, RejectionTable, example32_inflation,
-                       generate, power_curve, run_grid)
+from .randkit import RngStream, chi2_cdf, chi2_quantile
+from .simbench import CellSpec, DesignSpec, RejectionTable, generate, run_grid
 
 __version__ = "0.1.0"
 
@@ -25,13 +24,11 @@ __all__ = [
     "ASYMPTOTIC", "BOOTSTRAP", "TestConfig", "TestOutcome",
     "asymptotic_threshold", "bootstrap_threshold", "run_on_summaries",
     "run_test",
-    "pooled_covariance", "private_pooled_covariance", "private_whitener",
-    "t2_statistic", "t_dp_statistic",
+    "private_pooled_covariance", "private_whitener", "t_dp_statistic",
     "PRIVACY_OFF", "PrivacyBudget", "PrivatizedSummary", "SampleSummary",
     "compute_summary", "ed_covariance", "privatize_mean",
     "privatize_summaries",
-    "RngStream", "chi2_cdf", "chi2_quantile", "sample_laplace", "solve_b",
-    "DesignSpec", "CellSpec", "RejectionTable", "example32_inflation",
-    "generate", "power_curve", "run_grid",
+    "RngStream", "chi2_cdf", "chi2_quantile",
+    "DesignSpec", "CellSpec", "RejectionTable", "generate", "run_grid",
     "__version__",
 ]

@@ -464,11 +464,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="power grid under a unit mean shift")
     p_sim.add_argument("--example32", action="store_true",
                        help="asymptotic-rule inflation on the truncated Gaussian")
-    speed = p_sim.add_mutually_exclusive_group()
-    speed.add_argument("--fast", action="store_true", default=True,
-                       help="200 replications for the heaviest cells (default)")
-    speed.add_argument("--full", action="store_true",
-                       help="1000 replications everywhere (not desk-scale)")
+    p_sim.add_argument("--full", action="store_true",
+                       help="1000 replications everywhere, not 200 for the "
+                            "heaviest cells (not desk-scale)")
     p_sim.add_argument("--reps", type=int, default=None,
                        help="replications of every cell, replacing the grid's")
     p_sim.add_argument("--out", default=None, help="output CSV path")

@@ -62,7 +62,7 @@ class TestConfig:
             raise ValueError(f"unknown threshold kind {self.threshold_kind!r}")
         if self.threshold_kind == BOOTSTRAP:
             b, alpha = self.bootstrap_b, self.alpha
-            index = math.floor((1.0 - alpha) * b)
+            index = quantile_index(alpha, b)
             if index < 1 or b * alpha < 10.0:
                 need = max(math.ceil(10.0 / alpha), math.ceil(1 / (1 - alpha)))
                 raise ValueError(
@@ -101,8 +101,12 @@ def asymptotic_threshold(alpha: float, d: int) -> float:
 
 
 def quantile_index(alpha: float, b: int) -> int:
-    """1-based order-statistic index floor((1-alpha) B), clamped to [1, B]."""
-    return min(b, max(1, math.floor((1.0 - alpha) * b)))
+    """1-based order-statistic index floor((1-alpha) B).
+
+    ``TestConfig`` guarantees the index is at least 1 under the bootstrap
+    rule, and it never exceeds B.
+    """
+    return math.floor((1.0 - alpha) * b)
 
 
 def bootstrap_threshold(rng: randkit.RngStream, ps: PrivatizedSummary,

@@ -13,10 +13,6 @@ class ConvergenceError(NumericalError):
     """An iterative routine did not converge or returned non-finite values."""
 
 
-class SingularMatrixError(NumericalError):
-    """A matrix that must be invertible is singular (or numerically so)."""
-
-
 class SamplerStallError(NumericalError):
     """A rejection sampler exceeded its proposal budget without accepting."""
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, SingularMatrixError
+from .errors import ConvergenceError
 
 # Relative symmetry slack: |a_ij - a_ji| <= SYMMETRY_TOL * (1 + max|a|).
 SYMMETRY_TOL = 1e-12
@@ -107,13 +107,17 @@ def frobenius_norm(a: np.ndarray) -> float:
     return math.sqrt(flat.dot(flat))
 
 
-def inverse_sqrt_psd(a: np.ndarray, floor: float) -> np.ndarray:
-    """Inverse symmetric square root of a PSD matrix with eigenvalue floor.
+# Eigenvalue floor of inverse_sqrt_psd. Its one input, the private-corrected
+# pool, is positive definite by construction and only needs a round-off guard.
+INVERSE_ROOT_FLOOR = 1e-12
 
-    Returns V diag(max(w, floor))^(-1/2) V^T for a ``floor >= 0``. Tiny
-    negative eigenvalues from round-off are tolerated; with ``floor == 0``
-    a non-positive eigenvalue raises SingularMatrixError instead of being
-    clamped.
+
+def inverse_sqrt_psd(a: np.ndarray) -> np.ndarray:
+    """Inverse symmetric square root of a PSD matrix with an eigenvalue floor.
+
+    Returns V diag(max(w, INVERSE_ROOT_FLOOR))^(-1/2) V^T. Tiny negative
+    eigenvalues from round-off are tolerated and clamped to the floor; an
+    eigenvalue below -1e-10 max(1, ||a||_F) raises ValueError.
     """
     dec = symmetric_eigen(a)
     w = dec.eigenvalues
@@ -122,11 +126,7 @@ def inverse_sqrt_psd(a: np.ndarray, floor: float) -> np.ndarray:
         raise ValueError(
             f"matrix is not PSD within tolerance: min eigenvalue {w[-1]:.3e}"
         )
-    if floor == 0.0 and w[-1] <= 0.0:
-        raise SingularMatrixError(
-            f"singular matrix: min eigenvalue {w[-1]:.3e} with zero floor"
-        )
-    clamped = np.maximum(w, floor)
+    clamped = np.maximum(w, INVERSE_ROOT_FLOOR)
     v = dec.eigenvectors
     out = (v * (1.0 / np.sqrt(clamped))) @ v.T
     return 0.5 * (out + out.T)

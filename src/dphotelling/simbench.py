@@ -12,7 +12,6 @@ import csv
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -266,6 +265,9 @@ def run_grid(cells, reps: int, *, alpha: float = 0.05, bootstrap_b: int = 200,
     if workers <= 1:
         consume(map(_run_block, tasks))
     else:
+        # Imported on use: it loads multiprocessing, which a serial grid and
+        # the CLI's test and calibrate never need.
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             consume(pool.map(_run_block, tasks))
 
@@ -281,37 +283,14 @@ def run_grid(cells, reps: int, *, alpha: float = 0.05, bootstrap_b: int = 200,
     return RejectionTable(rows=tuple(rows))
 
 
-def power_curve(spec: DesignSpec, eps: float, n_values, reps: int, *,
-                kind: str = BOOTSTRAP, alpha: float = 0.05,
-                bootstrap_b: int = 200, master_seed: int = 0,
-                n_jobs: int = 1, progress: bool = False) -> RejectionTable:
-    """Rejection frequency against group size under a fixed alternative.
-
-    With a = 0 the curve degenerates to a level check (frequencies near
-    alpha), which is a useful sanity run in its own right.
-    """
-    cells = [CellSpec(design=spec, eps=eps, n=int(n), kind=kind)
-             for n in n_values]
-    return run_grid(cells, reps, alpha=alpha, bootstrap_b=bootstrap_b,
-                    master_seed=master_seed, n_jobs=n_jobs, progress=progress)
-
-
 def example32_cells() -> list:
+    """The asymptotic rule on the truncated Gaussian, n = 500, at eps 4 and 1.
+
+    Its rejection rate under the null is inflated at eps = 1.
+    """
     spec = DesignSpec(design=TRUNCATED_GAUSSIAN, d=1)
     return [CellSpec(design=spec, eps=4.0, n=500, kind=ASYMPTOTIC),
             CellSpec(design=spec, eps=1.0, n=500, kind=ASYMPTOTIC)]
-
-
-def example32_inflation(reps: int = 2000, *, master_seed: int = 0,
-                        n_jobs: int = 1, progress: bool = False):
-    """Type-1-error of the asymptotic rule on the truncated-Gaussian design.
-
-    Returns the rejection frequencies at epsilon = 4 and epsilon = 1
-    (n1 = n2 = 500, alpha = 0.05); the second is dramatically inflated.
-    """
-    table = run_grid(example32_cells(), reps, master_seed=master_seed,
-                     n_jobs=n_jobs, progress=progress)
-    return table.rows[0].reject_rate, table.rows[1].reject_rate
 
 
 _TABLE_N = (100, 1000, 10_000, 100_000)

@@ -116,6 +116,20 @@ def squared_two_sample_t(x, y) -> float:
     return float(t * t)
 
 
+def pooled_covariance(cov_x, cov_y, n1: int, n2: int) -> np.ndarray:
+    """Classical pool ((n1-1) Sx + (n2-1) Sy) / (n1 + n2 - 2)."""
+    cov_x = np.asarray(cov_x, dtype=float)
+    cov_y = np.asarray(cov_y, dtype=float)
+    return ((n1 - 1) * cov_x + (n2 - 1) * cov_y) / (n1 + n2 - 2)
+
+
+def hotelling_t2(mean_x, mean_y, cov_x, cov_y, n1: int, n2: int) -> float:
+    """Classical Hotelling t^2 by a linear solve against the pooled covariance."""
+    diff = np.asarray(mean_x, dtype=float) - np.asarray(mean_y, dtype=float)
+    pooled = pooled_covariance(cov_x, cov_y, n1, n2)
+    return float(n1 * n2 / (n1 + n2) * (diff @ np.linalg.solve(pooled, diff)))
+
+
 def random_orthogonal(d: int, seed: int) -> np.ndarray:
     """Deterministic orthogonal matrix from QR of a seeded Gaussian draw."""
     gen = np.random.default_rng(seed)

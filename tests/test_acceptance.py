@@ -12,15 +12,15 @@ import numpy as np
 import pytest
 
 from dphotelling.decision import ASYMPTOTIC, BOOTSTRAP, TestConfig, run_test
-from dphotelling.hotelling import pooled_covariance, t2_statistic, t_dp_statistic
+from dphotelling.hotelling import t_dp_statistic
 from dphotelling.mechanisms import (PRIVACY_OFF, PrivacyBudget,
                                     compute_summary, ed_covariance,
                                     privatize_summaries)
 from dphotelling.numlin import symmetric_eigen
 from dphotelling.randkit import (RngStream, chi2_cdf, sample_bingham_vector)
-from dphotelling.simbench import (CellSpec, DesignSpec, example32_inflation,
+from dphotelling.simbench import (CellSpec, DesignSpec, example32_cells,
                                   generate, run_grid)
-from oracles import (angular_mean_abs_cos, ks_statistic_vec,
+from oracles import (angular_mean_abs_cos, hotelling_t2, ks_statistic_vec,
                      squared_two_sample_t)
 
 N_JOBS = 2
@@ -67,7 +67,8 @@ def test_criterion_04_asymptotic_breakdown_d10():
 
 
 def test_criterion_05_truncated_gaussian_inflation():
-    f4, f1 = example32_inflation(2000, master_seed=0, n_jobs=N_JOBS)
+    table = run_grid(example32_cells(), 2000, master_seed=0, n_jobs=N_JOBS)
+    f4, f1 = (row.reject_rate for row in table.rows)
     ok = (0.04 <= f4 <= 0.10) and (0.15 <= f1 <= 0.23)
     _report(5, "truncated-Gaussian asymptotic test (reference 6.8% / 18.9%)",
             f"eps=4: {f4:.4f} in [0.04, 0.10]; eps=1: {f1:.4f} in [0.15, 0.23]",
@@ -136,9 +137,7 @@ def test_criterion_10_privacy_off_degeneration():
         sy = compute_summary(gen.uniform(-1.0, 1.0, (n2, d)), 1.0)
         ps = privatize_summaries(RngStream(200, i), sx, sy,
                                  PrivacyBudget.even_split(PRIVACY_OFF))
-        classical = t2_statistic(sx.mean, sy.mean,
-                                 pooled_covariance(sx.cov, sy.cov, n1, n2),
-                                 n1, n2)
+        classical = hotelling_t2(sx.mean, sy.mean, sx.cov, sy.cov, n1, n2)
         worst = max(worst, abs(t_dp_statistic(ps) - classical))
     ok_pipeline = worst <= 1e-10
 
@@ -148,10 +147,10 @@ def test_criterion_10_privacy_off_degeneration():
         n2 = int(gen.integers(2, 60))
         x = gen.uniform(-1.0, 1.0, n1)
         y = gen.uniform(-1.0, 1.0, n2)
-        sx = compute_summary(x, 1.0)
-        sy = compute_summary(y, 1.0)
-        val = t2_statistic(sx.mean, sy.mean,
-                           pooled_covariance(sx.cov, sy.cov, n1, n2), n1, n2)
+        ps = privatize_summaries(RngStream(201, i), compute_summary(x, 1.0),
+                                 compute_summary(y, 1.0),
+                                 PrivacyBudget.even_split(PRIVACY_OFF))
+        val = t_dp_statistic(ps)
         worst_t = max(worst_t, abs(val - squared_two_sample_t(x, y)))
     ok_oracle = worst_t <= 1e-10
     _report(10, "privacy-off pipeline equals classical statistic",

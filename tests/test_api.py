@@ -7,10 +7,13 @@ from pathlib import Path
 
 import dphotelling
 
-# Public names deleted because no pipeline, CLI or bench code used them.
+# Public names deleted, or (solve_b, sample_laplace) kept in their module but
+# no longer exported, because no pipeline, CLI or bench code used them.
 DELETED = ("REWEIGHTED", "NoiseCorrection", "noise_correction",
            "quadratic_form", "sample_mvn", "sample_std_normal",
-           "PooledCovariance")
+           "PooledCovariance", "pooled_covariance", "t2_statistic",
+           "SingularMatrixError", "power_curve", "example32_inflation",
+           "solve_b", "sample_laplace")
 
 
 def test_every_exported_name_resolves():
@@ -30,7 +33,7 @@ def test_deleted_names_not_exported():
 
 
 def test_deleted_names_gone_from_their_modules():
-    from dphotelling import hotelling, numlin, randkit, simbench
+    from dphotelling import errors, hotelling, numlin, randkit, simbench
     assert not hasattr(hotelling, "REWEIGHTED")
     assert not hasattr(hotelling, "NoiseCorrection")
     assert not hasattr(hotelling, "noise_correction")
@@ -43,6 +46,11 @@ def test_deleted_names_gone_from_their_modules():
         assert not hasattr(hotelling, name), name
     assert not hasattr(numlin, "_eigen")
     assert not hasattr(randkit, "_sample_bingham")
+    assert not hasattr(hotelling, "pooled_covariance")
+    assert not hasattr(hotelling, "t2_statistic")
+    assert not hasattr(errors, "SingularMatrixError")
+    assert not hasattr(simbench, "power_curve")
+    assert not hasattr(simbench, "example32_inflation")
 
 
 def test_unchecked_sampler_not_exported():

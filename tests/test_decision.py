@@ -37,9 +37,6 @@ class TestQuantileIndex:
     def test_midpoint(self):
         assert quantile_index(0.5, 200) == 100
 
-    def test_clamps_low(self):
-        assert quantile_index(0.999, 200) == 1
-
     def test_tiny_alpha(self):
         # floor((1 - 1e-9) * 200) = 199; only float rounding reaches B
         assert quantile_index(1e-9, 200) == 199

@@ -3,16 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from dphotelling.errors import SingularMatrixError
-from dphotelling.hotelling import (pooled_covariance,
-                                   private_pooled_covariance, t2_statistic,
-                                   t_dp_statistic)
+from dphotelling.hotelling import private_pooled_covariance, t_dp_statistic
 from dphotelling.mechanisms import (PRIVACY_OFF, PrivacyBudget,
                                     PrivatizedSummary, compute_summary,
                                     privatize_summaries)
 from dphotelling.numlin import symmetric_eigen
 from dphotelling.randkit import RngStream
-from oracles import random_orthogonal, squared_two_sample_t
+from oracles import (hotelling_t2, pooled_covariance, random_orthogonal,
+                     squared_two_sample_t)
 
 
 def _ps(mean_x, mean_y, cov_x, cov_y, n1, n2, m=1.0, eps=PRIVACY_OFF):
@@ -26,24 +24,32 @@ def _ps(mean_x, mean_y, cov_x, cov_y, n1, n2, m=1.0, eps=PRIVACY_OFF):
     )
 
 
+def _pool(cov_x, cov_y, n1, n2):
+    """The privacy-off pool: the classical pool of two covariances."""
+    d = np.shape(cov_x)[0]
+    return private_pooled_covariance(
+        _ps(np.zeros(d), np.zeros(d), cov_x, cov_y, n1, n2))
+
+
+def _t2(mean_x, mean_y, cov, n1, n2):
+    """The privacy-off statistic with both groups at covariance ``cov``."""
+    return t_dp_statistic(_ps(mean_x, mean_y, cov, cov, n1, n2))
+
+
 class TestPooledCovariance:
     def test_equal_inputs_pass_through(self):
         s = np.array([[2.0, 0.5], [0.5, 1.0]])
-        out = pooled_covariance(s, s, 7, 7)
+        out = _pool(s, s, 7, 7)
         assert out == pytest.approx(s, abs=1e-15)
 
     def test_classical_hand_case(self):
         # (2*1 + 4*2) / 6 = 5/3
-        out = pooled_covariance([[1.0]], [[2.0]], 3, 5)
+        out = _pool([[1.0]], [[2.0]], 3, 5)
         assert out[0, 0] == pytest.approx(5.0 / 3.0, abs=1e-15)
 
     def test_classical_needs_three_observations(self):
         with pytest.raises(ValueError, match="3"):
-            pooled_covariance([[1.0]], [[1.0]], 1, 1)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="mismatch"):
-            pooled_covariance(np.eye(2), np.eye(3), 5, 5)
+            _pool([[1.0]], [[1.0]], 1, 1)
 
 
 def _correction(m, d, n1, n2, eps):
@@ -129,14 +135,15 @@ class TestPrivatePooledCovariance:
 
 
 class TestT2Statistic:
+    """Properties of t^2 as ``t_dp_statistic`` computes it; on privacy-off
+    summaries it is the classical statistic."""
+
     def test_equal_means_zero(self):
-        pooled = pooled_covariance(np.eye(2), np.eye(2), 5, 5)
-        assert t2_statistic([0.3, -0.2], [0.3, -0.2], pooled, 5, 5) == 0.0
+        assert _t2([0.3, -0.2], [0.3, -0.2], np.eye(2), 5, 5) == 0.0
 
     def test_hand_case(self):
         # diff (1,0), pooled I, n1=n2=2: (2*2/4) * 1 = 1
-        pooled = pooled_covariance(np.eye(2), np.eye(2), 2, 2)
-        assert t2_statistic([1.0, 0.0], [0.0, 0.0], pooled, 2, 2) == \
+        assert _t2([1.0, 0.0], [0.0, 0.0], np.eye(2), 2, 2) == \
             pytest.approx(1.0, abs=1e-12)
 
     def test_one_dim_matches_squared_t_oracle(self):
@@ -148,11 +155,12 @@ class TestT2Statistic:
             y = gen.uniform(-1.0, 1.0, n2)
             sx = compute_summary(x, 1.0)
             sy = compute_summary(y, 1.0)
-            pooled = pooled_covariance(sx.cov, sy.cov, n1, n2)
-            val = t2_statistic(sx.mean, sy.mean, pooled, n1, n2)
+            val = t_dp_statistic(_ps(sx.mean, sy.mean, sx.cov, sy.cov, n1, n2))
             assert val == pytest.approx(squared_two_sample_t(x, y), abs=1e-10)
 
     def test_rotation_invariance(self):
+        # The noise correction adds a multiple of I to the pool, so the
+        # statistic of private summaries is rotation invariant too.
         gen = np.random.default_rng(23)
         for trial in range(30):
             d = int(gen.integers(2, 6))
@@ -161,10 +169,11 @@ class TestT2Statistic:
             my = gen.standard_normal(d)
             b = gen.standard_normal((d, d))
             cov = b @ b.T + 0.5 * np.eye(d)
-            pooled = pooled_covariance(cov, cov, 9, 12)
-            rotated = pooled_covariance(q @ cov @ q.T, q @ cov @ q.T, 9, 12)
-            v1 = t2_statistic(mx, my, pooled, 9, 12)
-            v2 = t2_statistic(q @ mx, q @ my, rotated, 9, 12)
+            ps = _ps(mx, my, cov, cov, 9, 12, eps=4.0)
+            ps_rot = _ps(q @ mx, q @ my, q @ cov @ q.T, q @ cov @ q.T, 9, 12,
+                         eps=4.0)
+            v1 = t_dp_statistic(ps)
+            v2 = t_dp_statistic(ps_rot)
             assert abs(v1 - v2) <= 1e-8 * max(1.0, v1)
 
     def test_rotation_invariance_private_statistic(self):
@@ -192,23 +201,16 @@ class TestT2Statistic:
             my = gen.standard_normal(d)
             b = gen.standard_normal((d, d))
             cov = b @ b.T + np.eye(d)
-            v1 = t2_statistic(mx, my, pooled_covariance(cov, cov, 6, 8), 6, 8)
-            v2 = t2_statistic(math.sqrt(s) * mx, math.sqrt(s) * my,
-                              pooled_covariance(s * cov, s * cov, 6, 8), 6, 8)
+            v1 = _t2(mx, my, cov, 6, 8)
+            v2 = _t2(math.sqrt(s) * mx, math.sqrt(s) * my, s * cov, 6, 8)
             assert abs(v1 - v2) <= 1e-10 * max(1.0, v1)
 
     def test_monotone_in_mean_separation(self):
-        pooled = pooled_covariance([[2.0, 0.3], [0.3, 1.0]],
-                                   [[2.0, 0.3], [0.3, 1.0]], 10, 10)
+        cov = [[2.0, 0.3], [0.3, 1.0]]
         direction = np.array([0.6, -0.8])
-        vals = [t2_statistic(c * direction, np.zeros(2), pooled, 10, 10)
+        vals = [_t2(c * direction, np.zeros(2), cov, 10, 10)
                 for c in (0.5, 1.0, 2.0, 3.5)]
         assert all(a < b for a, b in zip(vals, vals[1:]))
-
-    def test_singular_classical_raises(self):
-        pooled = pooled_covariance(np.zeros((2, 2)), np.zeros((2, 2)), 5, 5)
-        with pytest.raises(SingularMatrixError):
-            t2_statistic([1.0, 0.0], [0.0, 0.0], pooled, 5, 5)
 
 
 class TestTDpStatistic:
@@ -222,9 +224,7 @@ class TestTDpStatistic:
             sy = compute_summary(gen.uniform(-1.0, 1.0, (n2, d)), 1.0)
             ps = privatize_summaries(RngStream(0), sx, sy,
                                      PrivacyBudget.even_split(PRIVACY_OFF))
-            classical = t2_statistic(
-                sx.mean, sy.mean,
-                pooled_covariance(sx.cov, sy.cov, n1, n2), n1, n2)
+            classical = hotelling_t2(sx.mean, sy.mean, sx.cov, sy.cov, n1, n2)
             assert abs(t_dp_statistic(ps) - classical) <= 1e-10 * (1 + classical)
 
     def test_equal_private_means_zero(self):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dphotelling import numlin
-from dphotelling.errors import ConvergenceError, SingularMatrixError
+from dphotelling.errors import ConvergenceError
 from dphotelling.randkit import RngStream, sample_bingham_vector
 
 
@@ -164,7 +164,7 @@ class TestSignInvariance:
             eigenvectors=dec.eigenvectors * self.FLIP)
 
     @pytest.mark.parametrize("kernel", [
-        lambda a: numlin.inverse_sqrt_psd(a, 1e-12), numlin.psd_sqrt,
+        numlin.inverse_sqrt_psd, numlin.psd_sqrt,
     ], ids=["inverse_sqrt_psd", "psd_sqrt"])
     def test_square_roots(self, monkeypatch, kernel):
         a = self._matrix()
@@ -184,16 +184,16 @@ class TestSignInvariance:
 
 class TestInverseSqrtPsd:
     def test_identity(self):
-        out = numlin.inverse_sqrt_psd(np.eye(4), 1e-12)
+        out = numlin.inverse_sqrt_psd(np.eye(4))
         assert out == pytest.approx(np.eye(4), abs=1e-12)
 
     def test_diagonal_powers(self):
-        out = numlin.inverse_sqrt_psd(np.diag([4.0, 9.0]), floor=0.0)
+        out = numlin.inverse_sqrt_psd(np.diag([4.0, 9.0]))
         assert out == pytest.approx(np.diag([0.5, 1.0 / 3.0]), abs=1e-12)
 
     def test_recomposition_oracle(self):
         a = np.array([[2.0, 1.0], [1.0, 2.0]])
-        b = numlin.inverse_sqrt_psd(a, floor=0.0)
+        b = numlin.inverse_sqrt_psd(a)
         assert np.linalg.norm(b @ a @ b - np.eye(2)) <= 1e-8
 
     def test_random_pd_recomposition(self):
@@ -204,20 +204,18 @@ class TestInverseSqrtPsd:
             w = gen.uniform(0.1, 10.0, d)
             a = (q * w) @ q.T
             a = 0.5 * (a + a.T)
-            b = numlin.inverse_sqrt_psd(a, floor=0.0)
+            b = numlin.inverse_sqrt_psd(a)
             assert np.linalg.norm(b @ a @ b - np.eye(d)) <= 1e-8
 
-    def test_singular_with_zero_floor_raises(self):
-        with pytest.raises(SingularMatrixError):
-            numlin.inverse_sqrt_psd(np.diag([1.0, 0.0]), floor=0.0)
-
     def test_positive_floor_clamps(self):
-        out = numlin.inverse_sqrt_psd(np.diag([1.0, 0.0]), floor=0.25)
-        assert out == pytest.approx(np.diag([1.0, 2.0]), abs=1e-12)
+        # A zero eigenvalue reads as the floor, 1e-12: its inverse root is 1e6.
+        out = numlin.inverse_sqrt_psd(np.diag([1.0, 0.0]))
+        assert numlin.INVERSE_ROOT_FLOOR == 1e-12
+        assert out == pytest.approx(np.diag([1.0, 1e6]), abs=1e-12)
 
     def test_indefinite_rejected(self):
         with pytest.raises(ValueError, match="PSD"):
-            numlin.inverse_sqrt_psd(np.diag([1.0, -0.5]), 1e-12)
+            numlin.inverse_sqrt_psd(np.diag([1.0, -0.5]))
 
 
 class TestPsdSqrt:

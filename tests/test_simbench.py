@@ -1,4 +1,7 @@
+import concurrent.futures
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -8,9 +11,9 @@ from dphotelling.errors import BoundViolationError
 from dphotelling.randkit import RngStream
 from dphotelling import simbench
 from dphotelling.simbench import (CellSpec, DesignSpec, example32_cells,
-                                  generate, power_cells, power_curve,
-                                  read_table_csv, run_grid, table1_cells,
-                                  table2_cells, write_table_csv)
+                                  generate, power_cells, read_table_csv,
+                                  run_grid, table1_cells, table2_cells,
+                                  write_table_csv)
 from oracles import simpson
 
 SQRT3 = math.sqrt(3.0)
@@ -217,7 +220,8 @@ class TestWorkerCount:
             def map(self, fn, tasks):
                 return map(fn, tasks)
 
-        monkeypatch.setattr(simbench, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            SerialPool)
         return sizes
 
     @staticmethod
@@ -245,6 +249,17 @@ class TestWorkerCount:
         monkeypatch.setattr(simbench, "_available_cpus", lambda: 1)
         run_grid(self._cells(12), 1, n_jobs=4)
         assert pools == []
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    # run_grid imports the pool only when it starts one, so `test`,
+    # `calibrate` and a serial grid never load multiprocessing.
+    code = ("import sys, dphotelling.cli; "
+            "print(sorted(m for m in ('concurrent.futures', 'multiprocessing')"
+            " if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True)
+    assert out.stdout.strip() == "[]"
 
 
 class TestCsvRoundTrip:
@@ -332,14 +347,15 @@ class TestPowerCurve:
     @pytest.mark.slow
     def test_power_grows_and_level_degenerates(self):
         spec = DesignSpec("uniform_cube", 1, a=1.0)
-        table = power_curve(spec, 5.0, (100, 1000), 200, master_seed=13,
-                            n_jobs=2)
+        cells = [CellSpec(design=spec, eps=5.0, n=n) for n in (100, 1000)]
+        table = run_grid(cells, 200, master_seed=13, n_jobs=2)
         rates = [r.reject_rate for r in table.rows]
         assert rates[1] >= rates[0] - 2.0 * math.sqrt(0.25 / 200)
         assert rates[1] >= 0.95
 
-        null_spec = DesignSpec("uniform_cube", 1)
-        null_table = power_curve(null_spec, 5.0, (400,), 300, master_seed=14)
+        null_cell = CellSpec(design=DesignSpec("uniform_cube", 1), eps=5.0,
+                             n=400)
+        null_table = run_grid([null_cell], 300, master_seed=14)
         rate = null_table.rows[0].reject_rate
         sigma = math.sqrt(0.05 * 0.95 / 300)
         assert 0.05 - 3 * sigma <= rate <= 0.05 + 3 * sigma

@@ -12,9 +12,9 @@ from .decision import (ASYMPTOTIC, BOOTSTRAP, TestConfig, TestOutcome,
                        run_on_summaries, run_test)
 from .hotelling import (private_pooled_covariance, private_whitener,
                         t_dp_statistic)
-from .mechanisms import (PRIVACY_OFF, PrivacyBudget, PrivatizedSummary,
-                         SampleSummary, compute_summary, ed_covariance,
-                         privatize_mean, privatize_summaries)
+from .mechanisms import (PRIVACY_OFF, PrivatizedSummary, SampleSummary,
+                         compute_summary, ed_covariance, privatize_mean,
+                         privatize_summaries)
 from .randkit import RngStream, chi2_cdf, chi2_quantile
 from .simbench import CellSpec, DesignSpec, RejectionTable, generate, run_grid
 
@@ -25,7 +25,7 @@ __all__ = [
     "asymptotic_threshold", "bootstrap_threshold", "run_on_summaries",
     "run_test",
     "private_pooled_covariance", "private_whitener", "t_dp_statistic",
-    "PRIVACY_OFF", "PrivacyBudget", "PrivatizedSummary", "SampleSummary",
+    "PRIVACY_OFF", "PrivatizedSummary", "SampleSummary",
     "compute_summary", "ed_covariance", "privatize_mean",
     "privatize_summaries",
     "RngStream", "chi2_cdf", "chi2_quantile",

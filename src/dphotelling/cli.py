@@ -133,7 +133,7 @@ def _is_numeric(row) -> bool:
 
 
 def _raise_csv_fault(path, detail: str) -> NoReturn:
-    """Name the first fault of a CSV file that the fast parse rejected.
+    """Name the first fault of a CSV file that ``np.loadtxt`` rejected.
 
     Re-reads the file record by record with ``csv.reader`` and ``float()``.
     Structural faults (no rows, a non-numeric field, a ragged row) take
@@ -377,12 +377,12 @@ def cmd_calibrate(args) -> int:
     return EXIT_OK
 
 
-# Cell builders of the simulate artifacts; each takes fast = not --full.
+# Cell builders of the simulate artifacts.
 _SIM_GRIDS = {
     "table1": simbench.table1_cells,
     "table2": simbench.table2_cells,
     "power": simbench.power_cells,
-    "example32": lambda fast: simbench.example32_cells(),
+    "example32": simbench.example32_cells,
 }
 
 
@@ -393,7 +393,7 @@ def cmd_simulate(args) -> int:
             "pick exactly one of --table1, --table2, --power, --example32"
         )
     which = selected[0]
-    cells = _SIM_GRIDS[which](not args.full)
+    cells = _SIM_GRIDS[which]()
     if args.reps is not None:
         cells = [dataclasses.replace(cell, reps=args.reps) for cell in cells]
     # Only example32's cells leave reps unset; they run 2000 by default.
@@ -464,9 +464,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="power grid under a unit mean shift")
     p_sim.add_argument("--example32", action="store_true",
                        help="asymptotic-rule inflation on the truncated Gaussian")
-    p_sim.add_argument("--full", action="store_true",
-                       help="1000 replications everywhere, not 200 for the "
-                            "heaviest cells (not desk-scale)")
     p_sim.add_argument("--reps", type=int, default=None,
                        help="replications of every cell, replacing the grid's")
     p_sim.add_argument("--out", default=None, help="output CSV path")

@@ -10,8 +10,8 @@ No additional privacy budget is consumed.
 ``run_test``, the CLI's ``test`` and ``calibrate`` and the Monte Carlo
 bench all reach it. It privatizes once and whitens the corrected pooled
 matrix once, passing the whitener to both the statistic and
-``bootstrap_threshold``. Nothing downstream re-checks what the summaries,
-the budget and ``TestConfig`` checked when they were built.
+``bootstrap_threshold``. Nothing downstream re-checks what the summaries
+and ``TestConfig`` checked when they were built.
 """
 
 from __future__ import annotations
@@ -24,8 +24,8 @@ from functools import lru_cache
 import numpy as np
 
 from . import hotelling, numlin, randkit
-from .mechanisms import (BUDGET_PARTS, PrivacyBudget, PrivatizedSummary,
-                         SampleSummary, _check_bound, compute_summary,
+from .mechanisms import (BUDGET_PARTS, PrivatizedSummary, SampleSummary,
+                         _check_bound, budget_part, compute_summary,
                          laplace_mean_scale, privatize_summaries)
 
 ASYMPTOTIC = "asymptotic"
@@ -128,8 +128,9 @@ def bootstrap_threshold(rng: randkit.RngStream, ps: PrivatizedSummary,
     gen = rng.generator
     x_star = gen.standard_normal((b, d)) @ root_x
     y_star = gen.standard_normal((b, d)) @ root_y
-    scale_x = laplace_mean_scale(ps.n1, ps.bound_m, d, ps.budget.mean_x)
-    scale_y = laplace_mean_scale(ps.n2, ps.bound_m, d, ps.budget.mean_y)
+    part = budget_part(ps.epsilon)
+    scale_x = laplace_mean_scale(ps.n1, ps.bound_m, d, part)
+    scale_y = laplace_mean_scale(ps.n2, ps.bound_m, d, part)
     if scale_x > 0.0:
         x_star = x_star + gen.laplace(0.0, scale_x, size=(b, d))
     if scale_y > 0.0:
@@ -150,8 +151,7 @@ def run_on_summaries(rng: randkit.RngStream, sx: SampleSummary,
     (bootstrap draws from ``rng.substream(2)``) and the decision are
     post-processing of the four releases.
     """
-    budget = PrivacyBudget.even_split(cfg.epsilon)
-    ps = privatize_summaries(rng.substream(1), sx, sy, budget)
+    ps = privatize_summaries(rng.substream(1), sx, sy, cfg.epsilon)
 
     whitener = hotelling.private_whitener(ps)
     statistic = hotelling._whitened_t2(whitener, ps.mean_x_dp, ps.mean_y_dp,
@@ -171,7 +171,7 @@ def run_on_summaries(rng: randkit.RngStream, sx: SampleSummary,
         n2=ps.n2,
         alpha=cfg.alpha,
         epsilon=cfg.epsilon,
-        budget_split=budget.parts,
+        budget_split=(budget_part(cfg.epsilon),) * len(BUDGET_PARTS),
     )
 
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import numlin
-from .mechanisms import PrivatizedSummary, laplace_mean_scale
+from .mechanisms import PrivatizedSummary, budget_part, laplace_mean_scale
 
 
 def private_pooled_covariance(ps: PrivatizedSummary) -> np.ndarray:
@@ -28,15 +28,16 @@ def private_pooled_covariance(ps: PrivatizedSummary) -> np.ndarray:
 
     The correction c1 + c2 is added exactly once; c_i = 2 b_i^2 is the
     variance of the Laplace noise of scale b_i that the mean release of
-    group i added to each coordinate, computed from the budget parts
-    actually spent. It vanishes under the privacy-off sentinel; otherwise
-    the result is positive definite.
+    group i added to each coordinate, computed from the part
+    ``budget_part(ps.epsilon)`` that the release spent. It vanishes under
+    the privacy-off sentinel; otherwise the result is positive definite.
     """
     d, n1, n2 = ps.dim, ps.n1, ps.n2
     if n1 + n2 < 3:
         raise ValueError("classical pooling needs n1 + n2 >= 3")
-    b1 = laplace_mean_scale(n1, ps.bound_m, d, ps.budget.mean_x)
-    b2 = laplace_mean_scale(n2, ps.bound_m, d, ps.budget.mean_y)
+    part = budget_part(ps.epsilon)
+    b1 = laplace_mean_scale(n1, ps.bound_m, d, part)
+    b2 = laplace_mean_scale(n2, ps.bound_m, d, part)
     shift = 2.0 * b1 * b1 + 2.0 * b2 * b2
     base = ((n1 - 1) * ps.cov_x_dp + (n2 - 1) * ps.cov_y_dp) / (n1 + n2 - 2)
     return base + shift * np.eye(d)

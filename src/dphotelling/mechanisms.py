@@ -1,12 +1,12 @@
 """Privacy mechanisms: Laplace mean release and eigen-sampled covariance release.
 
-The privacy budget for a two-sample release splits four ways (two means,
-two covariances). Means get coordinate-wise Laplace noise scaled to the
-cube bound; covariances go through an iterated eigenvalue/eigenvector
-mechanism that always returns a symmetric PSD matrix. Privacy holds by
-construction of the noise scales; ``PrivacyBudget`` checks that its parts
-sum exactly to the total, and the module does not re-derive sensitivity
-proofs.
+A two-sample release spends the total privacy level epsilon in four equal
+parts (two means, two covariances): each release spends
+``budget_part(epsilon)`` = epsilon / 4. Means get coordinate-wise Laplace
+noise scaled to the cube bound; covariances go through an iterated
+eigenvalue/eigenvector mechanism that always returns a symmetric PSD
+matrix. Privacy holds by construction of the noise scales; the module does
+not re-derive sensitivity proofs.
 
 ``PRIVACY_OFF`` (infinity) is a testing-only sentinel: every mechanism
 degenerates to the identity, so the pipeline can be checked against its
@@ -14,10 +14,10 @@ non-private counterpart.
 
 Inputs are checked where they enter: ``compute_summary`` and
 ``SampleSummary`` check the data, n, m (positive and finite), the mean
-bound and the covariance's symmetry; ``PrivacyBudget`` checks every part;
-``PrivatizedSummary`` checks the releases and their metadata. The
-releases take a ``SampleSummary`` and check only their scalar budget part
-and that the noise scales it yields neither overflow nor vanish.
+bound and the covariance's symmetry; ``PrivatizedSummary`` checks the
+releases, the total epsilon and the metadata. The releases take a
+``SampleSummary`` and check only their scalar budget part and that the
+noise scales it yields neither overflow nor vanish.
 """
 
 from __future__ import annotations
@@ -46,45 +46,13 @@ def _check_eps(eps: float, name: str = "epsilon") -> float:
     return eps
 
 
-# Names of the four budget parts, in the order of ``PrivacyBudget.parts``.
+# Names of the four releases, in the order ``privatize_summaries`` makes them.
 BUDGET_PARTS = ("mean_x", "mean_y", "cov_x", "cov_y")
 
 
-@dataclass(frozen=True)
-class PrivacyBudget:
-    """Total privacy level and its four-way split.
-
-    Parts must be positive, and their exact sum (``math.fsum``) must equal
-    ``epsilon_total``; the releases spend the parts as given and do not
-    check the sum again.
-    """
-
-    epsilon_total: float
-    mean_x: float
-    mean_y: float
-    cov_x: float
-    cov_y: float
-
-    def __post_init__(self):
-        _check_eps(self.epsilon_total, "epsilon_total")
-        parts = self.parts
-        for name, part in zip(BUDGET_PARTS, parts):
-            _check_eps(part, name)
-        total = math.fsum(parts)
-        if total != self.epsilon_total:
-            raise ValueError(
-                f"budget parts sum to {total!r}, expected {self.epsilon_total!r}"
-            )
-
-    @property
-    def parts(self) -> tuple:
-        return (self.mean_x, self.mean_y, self.cov_x, self.cov_y)
-
-    @classmethod
-    def even_split(cls, epsilon: float) -> "PrivacyBudget":
-        eps = _check_eps(epsilon)
-        part = eps / 4.0
-        return cls(eps, part, part, part, part)
+def budget_part(epsilon: float) -> float:
+    """The part of the total privacy level epsilon that each release spends."""
+    return epsilon / len(BUDGET_PARTS)
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -144,20 +112,21 @@ class PrivatizedSummary:
     """The four private releases plus the public metadata that scaled them.
 
     Every released entry must be finite, the covariances symmetric, and all
-    four of one dimension; the group sizes must be positive and the bound
-    positive and finite.
+    four of one dimension; the total privacy level epsilon must be
+    positive, the group sizes positive and the bound positive and finite.
     """
 
     mean_x_dp: np.ndarray
     mean_y_dp: np.ndarray
     cov_x_dp: np.ndarray
     cov_y_dp: np.ndarray
-    budget: PrivacyBudget
+    epsilon: float
     n1: int
     n2: int
     bound_m: float
 
     def __post_init__(self):
+        _check_eps(self.epsilon)
         if self.n1 < 1 or self.n2 < 1:
             raise ValueError("group sizes must be positive")
         _check_bound(self.bound_m)
@@ -309,7 +278,7 @@ def ed_covariance(rng: randkit.RngStream, s: SampleSummary,
     scaled = up * s.cov
     dec = numlin.symmetric_eigen(scaled)
     lam_hat = dec.eigenvalues
-    psd_tol = 1e-10 * max(1.0, numlin.frobenius_norm(scaled))
+    psd_tol = 1e-10 * max(1.0, np.linalg.norm(scaled))
     if lam_hat[-1] < -psd_tol:
         raise ValueError(
             f"covariance input is not PSD within round-off: "
@@ -318,60 +287,56 @@ def ed_covariance(rng: randkit.RngStream, s: SampleSummary,
 
     if not math.isfinite(eps_part):
         lam_bar = np.abs(lam_hat)
-        vecs = dec.eigenvectors
-        out = (vecs * lam_bar) @ vecs.T
-        return unscale * 0.5 * (out + out.T)
-
-    noise = randkit.sample_laplace(rng, noise_scale, size=d)
-    lam_bar = np.abs(lam_hat + noise)
-
-    if d == 1:
-        return np.array([[unscale * lam_bar[0]]])
-
-    directions = np.empty((d, d))
-    p_rows = np.eye(d)
-    # dec is the decomposition of P C P^T for the current basis P; at step 0
-    # P = I and P C P^T is C itself.
-    for i in range(d - 1):
-        if i:
-            ctil = p_rows @ scaled @ p_rows.T
-            # Validated once in the summary; only round-off asymmetry to
-            # remove.
-            dec = numlin.symmetric_eigen(0.5 * (ctil + ctil.T))
-        u = randkit.sample_bingham_vector(rng, dec, eps_step)
-        directions[:, i] = p_rows.T @ u
-        # Householder reflection H = I - 2 v v^T maps u to -sign(u_0) e_1,
-        # so rows 1.. of H @ p_rows span the complement of the direction.
-        v = u.copy()
-        v[0] += math.copysign(1.0, u[0])
-        v /= np.linalg.norm(v)
-        p_rows = (p_rows - 2.0 * np.outer(v, v @ p_rows))[1:]
-    # The one remaining basis row fixes the last direction up to a sign,
-    # which v v^T ignores, so it costs no draw.
-    directions[:, d - 1] = p_rows[0]
+        directions = dec.eigenvectors
+    else:
+        noise = randkit.sample_laplace(rng, noise_scale, size=d)
+        lam_bar = np.abs(lam_hat + noise)
+        directions = np.empty((d, d))
+        p_rows = np.eye(d)
+        # dec is the decomposition of P C P^T for the current basis P; at
+        # step 0 P = I and P C P^T is C itself. At d = 1 no step runs.
+        for i in range(d - 1):
+            if i:
+                ctil = p_rows @ scaled @ p_rows.T
+                # Validated once in the summary; only round-off asymmetry
+                # to remove.
+                dec = numlin.symmetric_eigen(0.5 * (ctil + ctil.T))
+            u = randkit.sample_bingham_vector(rng, dec, eps_step)
+            directions[:, i] = p_rows.T @ u
+            # Householder reflection H = I - 2 v v^T maps u to -sign(u_0)
+            # e_1, so rows 1.. of H @ p_rows span the complement of the
+            # direction.
+            v = u.copy()
+            v[0] += math.copysign(1.0, u[0])
+            v /= np.linalg.norm(v)
+            p_rows = (p_rows - 2.0 * np.outer(v, v @ p_rows))[1:]
+        # The one remaining basis row fixes the last direction up to a
+        # sign, which v v^T ignores, so it costs no draw.
+        directions[:, d - 1] = p_rows[0]
     out = (directions * lam_bar) @ directions.T
     return unscale * 0.5 * (out + out.T)
 
 
 def privatize_summaries(rng: randkit.RngStream, sx: SampleSummary,
                         sy: SampleSummary,
-                        budget: PrivacyBudget) -> PrivatizedSummary:
-    """Release both groups' means and covariances under one budget spend.
+                        epsilon: float) -> PrivatizedSummary:
+    """Release both groups' means and covariances at total privacy level epsilon.
 
     Exactly four privatized quantities leave this boundary; no raw
-    statistic is carried along. Each release consumes its own budget part
+    statistic is carried along. Each release spends ``budget_part(epsilon)``
     and draws from its own substream.
     """
     if sx.dim != sy.dim:
         raise ValueError(f"dimension mismatch: {sx.dim} vs {sy.dim}")
     if sx.bound_m != sy.bound_m:
         raise ValueError("both groups must share the same cube bound m")
+    part = budget_part(epsilon)
     return PrivatizedSummary(
-        mean_x_dp=privatize_mean(rng.substream(0), sx, budget.mean_x),
-        mean_y_dp=privatize_mean(rng.substream(1), sy, budget.mean_y),
-        cov_x_dp=ed_covariance(rng.substream(2), sx, budget.cov_x),
-        cov_y_dp=ed_covariance(rng.substream(3), sy, budget.cov_y),
-        budget=budget,
+        mean_x_dp=privatize_mean(rng.substream(0), sx, part),
+        mean_y_dp=privatize_mean(rng.substream(1), sy, part),
+        cov_x_dp=ed_covariance(rng.substream(2), sx, part),
+        cov_y_dp=ed_covariance(rng.substream(3), sy, part),
+        epsilon=epsilon,
         n1=sx.n,
         n2=sy.n,
         bound_m=sx.bound_m,

@@ -101,12 +101,6 @@ def symmetric_eigen(a: np.ndarray) -> EigenDecomposition:
     return EigenDecomposition(eigenvalues=w, eigenvectors=v)
 
 
-def frobenius_norm(a: np.ndarray) -> float:
-    """sqrt(sum of squared entries), the value of ``np.linalg.norm(a)``."""
-    flat = a.ravel(order="K")
-    return math.sqrt(flat.dot(flat))
-
-
 # Eigenvalue floor of inverse_sqrt_psd. Its one input, the private-corrected
 # pool, is positive definite by construction and only needs a round-off guard.
 INVERSE_ROOT_FLOOR = 1e-12
@@ -121,7 +115,7 @@ def inverse_sqrt_psd(a: np.ndarray) -> np.ndarray:
     """
     dec = symmetric_eigen(a)
     w = dec.eigenvalues
-    tol = 1e-10 * max(1.0, frobenius_norm(a))
+    tol = 1e-10 * max(1.0, np.linalg.norm(a))
     if w[-1] < -tol:
         raise ValueError(
             f"matrix is not PSD within tolerance: min eigenvalue {w[-1]:.3e}"

@@ -28,6 +28,10 @@ _DESIGNS = (UNIFORM_CUBE, TOEPLITZ, TRUNCATED_GAUSSIAN)
 
 _SQRT3 = math.sqrt(3.0)
 
+# Diagonal and off-diagonal entries of the tridiagonal Toeplitz design.
+_DIAG = 1.0
+_OFF_DIAG = 1.0 / 3.0
+
 
 @dataclass(frozen=True)
 class DesignSpec:
@@ -35,16 +39,14 @@ class DesignSpec:
 
     ``a`` is the Euclidean distance between the two population means
     (0 = null hypothesis). The tridiagonal design multiplies cube samples
-    by a Toeplitz matrix with diagonal ``toeplitz_diag`` and off-diagonal
-    ``toeplitz_off``; the truncated-Gaussian design is one-dimensional with
-    density proportional to exp(-2 t^2) on [-1, 1].
+    by a Toeplitz matrix with diagonal 1 and off-diagonal 1/3; the
+    truncated-Gaussian design is one-dimensional with density proportional
+    to exp(-2 t^2) on [-1, 1].
     """
 
     design: str
     d: int
     a: float = 0.0
-    toeplitz_diag: float = 1.0
-    toeplitz_off: float = 1.0 / 3.0
 
     def __post_init__(self):
         if self.design not in _DESIGNS:
@@ -66,17 +68,15 @@ class DesignSpec:
             return half_width
         if self.design == TOEPLITZ:
             # A row of the Toeplitz matrix has at most one diagonal and two
-            # off-diagonal entries, of either sign.
-            return half_width * (abs(self.toeplitz_diag)
-                                 + 2.0 * abs(self.toeplitz_off))
+            # off-diagonal entries.
+            return half_width * (_DIAG + 2.0 * _OFF_DIAG)
         return 1.0
 
     def toeplitz_matrix(self) -> np.ndarray:
-        t = self.toeplitz_diag * np.eye(self.d)
-        off = self.toeplitz_off
+        t = _DIAG * np.eye(self.d)
         for i in range(self.d - 1):
-            t[i, i + 1] = off
-            t[i + 1, i] = off
+            t[i, i + 1] = _OFF_DIAG
+            t[i + 1, i] = _OFF_DIAG
         return t
 
 
@@ -296,11 +296,12 @@ def example32_cells() -> list:
 _TABLE_N = (100, 1000, 10_000, 100_000)
 
 
-def _scaled_reps(n: int, fast: bool) -> int:
-    return 200 if (fast and n >= 100_000) else 1000
+def _scaled_reps(n: int) -> int:
+    """Replications of a paper-grid cell: 200 at n = 1e5, 1000 elsewhere."""
+    return 200 if n >= 100_000 else 1000
 
 
-def table1_cells(fast: bool = True) -> list:
+def table1_cells() -> list:
     """Level study grid: 2 rules x 3 dims x 4 epsilons x 4 group sizes."""
     cells = []
     for kind in (BOOTSTRAP, ASYMPTOTIC):
@@ -309,11 +310,11 @@ def table1_cells(fast: bool = True) -> list:
             for eps in (0.1, 0.5, 1.0, 5.0):
                 for n in _TABLE_N:
                     cells.append(CellSpec(design=spec, eps=eps, n=n, kind=kind,
-                                          reps=_scaled_reps(n, fast)))
+                                          reps=_scaled_reps(n)))
     return cells
 
 
-def table2_cells(fast: bool = True) -> list:
+def table2_cells() -> list:
     """Level study on the Toeplitz design: 2 dims x 3 epsilons x 4 sizes."""
     cells = []
     for d in (10, 30):
@@ -321,11 +322,11 @@ def table2_cells(fast: bool = True) -> list:
         for eps in (0.1, 0.5, 1.0):
             for n in _TABLE_N:
                 cells.append(CellSpec(design=spec, eps=eps, n=n, kind=BOOTSTRAP,
-                                      reps=_scaled_reps(n, fast)))
+                                      reps=_scaled_reps(n)))
     return cells
 
 
-def power_cells(fast: bool = True) -> list:
+def power_cells() -> list:
     """Power study grid: bootstrap rule, shift a=1, over epsilon, d, and n."""
     cells = []
     for eps in (0.1, 0.5, 1.0, 5.0):
@@ -333,5 +334,5 @@ def power_cells(fast: bool = True) -> list:
             spec = DesignSpec(design=UNIFORM_CUBE, d=d, a=1.0)
             for n in _TABLE_N:
                 cells.append(CellSpec(design=spec, eps=eps, n=n, kind=BOOTSTRAP,
-                                      reps=_scaled_reps(n, fast)))
+                                      reps=_scaled_reps(n)))
     return cells

@@ -11,11 +11,11 @@ import math
 import numpy as np
 import pytest
 
-from dphotelling.decision import ASYMPTOTIC, BOOTSTRAP, TestConfig, run_test
+from dphotelling.decision import (ASYMPTOTIC, BOOTSTRAP, TestConfig,
+                                  run_on_summaries, run_test)
 from dphotelling.hotelling import t_dp_statistic
-from dphotelling.mechanisms import (PRIVACY_OFF, PrivacyBudget,
-                                    compute_summary, ed_covariance,
-                                    privatize_summaries)
+from dphotelling.mechanisms import (PRIVACY_OFF, compute_summary,
+                                    ed_covariance, privatize_summaries)
 from dphotelling.numlin import symmetric_eigen
 from dphotelling.randkit import (RngStream, chi2_cdf, sample_bingham_vector)
 from dphotelling.simbench import (CellSpec, DesignSpec, example32_cells,
@@ -110,7 +110,6 @@ def test_criterion_08_covariance_release_consistency():
 
 def test_criterion_09_null_distribution_ks():
     spec = DesignSpec("uniform_cube", 1)
-    budget = PrivacyBudget.even_split(5.0)
     reps = 1000
     stats = np.empty(reps)
     for rep in range(reps):
@@ -118,7 +117,7 @@ def test_criterion_09_null_distribution_ks():
         x, y = generate(rng.substream(0), spec, 100000, 100000)
         sx = compute_summary(x, spec.bound_m)
         sy = compute_summary(y, spec.bound_m)
-        ps = privatize_summaries(rng.substream(1), sx, sy, budget)
+        ps = privatize_summaries(rng.substream(1), sx, sy, 5.0)
         stats[rep] = t_dp_statistic(ps)
     ks = ks_statistic_vec(stats, lambda xs: np.array([chi2_cdf(v, 1)
                                                        for v in xs]))
@@ -135,8 +134,7 @@ def test_criterion_10_privacy_off_degeneration():
         n2 = int(gen.integers(3, 80))
         sx = compute_summary(gen.uniform(-1.0, 1.0, (n1, d)), 1.0)
         sy = compute_summary(gen.uniform(-1.0, 1.0, (n2, d)), 1.0)
-        ps = privatize_summaries(RngStream(200, i), sx, sy,
-                                 PrivacyBudget.even_split(PRIVACY_OFF))
+        ps = privatize_summaries(RngStream(200, i), sx, sy, PRIVACY_OFF)
         classical = hotelling_t2(sx.mean, sy.mean, sx.cov, sy.cov, n1, n2)
         worst = max(worst, abs(t_dp_statistic(ps) - classical))
     ok_pipeline = worst <= 1e-10
@@ -148,8 +146,7 @@ def test_criterion_10_privacy_off_degeneration():
         x = gen.uniform(-1.0, 1.0, n1)
         y = gen.uniform(-1.0, 1.0, n2)
         ps = privatize_summaries(RngStream(201, i), compute_summary(x, 1.0),
-                                 compute_summary(y, 1.0),
-                                 PrivacyBudget.even_split(PRIVACY_OFF))
+                                 compute_summary(y, 1.0), PRIVACY_OFF)
         val = t_dp_statistic(ps)
         worst_t = max(worst_t, abs(val - squared_two_sample_t(x, y)))
     ok_oracle = worst_t <= 1e-10
@@ -198,9 +195,11 @@ def test_criterion_12_budget_audit():
             n2 = int(gen.integers(2, 50))
             sx = compute_summary(gen.uniform(-1.0, 1.0, (n1, d)), 1.0)
             sy = compute_summary(gen.uniform(-1.0, 1.0, (n2, d)), 1.0)
-            ps = privatize_summaries(RngStream(300, i), sx, sy,
-                                     PrivacyBudget.even_split(eps))
-            assert math.fsum(ps.budget.parts) == eps
+            cfg = TestConfig(epsilon=eps, bound_m=1.0,
+                             threshold_kind=ASYMPTOTIC)
+            parts = run_on_summaries(RngStream(300, i), sx, sy,
+                                     cfg).budget_split
+            assert len(parts) == 4 and math.fsum(parts) == eps
             checked += 1
     _report(12, "four budget parts sum to epsilon exactly",
             f"{checked} privatized summaries audited", checked == 180)

@@ -13,7 +13,7 @@ DELETED = ("REWEIGHTED", "NoiseCorrection", "noise_correction",
            "quadratic_form", "sample_mvn", "sample_std_normal",
            "PooledCovariance", "pooled_covariance", "t2_statistic",
            "SingularMatrixError", "power_curve", "example32_inflation",
-           "solve_b", "sample_laplace")
+           "solve_b", "sample_laplace", "PrivacyBudget")
 
 
 def test_every_exported_name_resolves():
@@ -33,7 +33,8 @@ def test_deleted_names_not_exported():
 
 
 def test_deleted_names_gone_from_their_modules():
-    from dphotelling import errors, hotelling, numlin, randkit, simbench
+    from dphotelling import (errors, hotelling, mechanisms, numlin, randkit,
+                             simbench)
     assert not hasattr(hotelling, "REWEIGHTED")
     assert not hasattr(hotelling, "NoiseCorrection")
     assert not hasattr(hotelling, "noise_correction")
@@ -51,6 +52,8 @@ def test_deleted_names_gone_from_their_modules():
     assert not hasattr(errors, "SingularMatrixError")
     assert not hasattr(simbench, "power_curve")
     assert not hasattr(simbench, "example32_inflation")
+    assert not hasattr(mechanisms, "PrivacyBudget")
+    assert not hasattr(numlin, "frobenius_norm")
 
 
 def test_unchecked_sampler_not_exported():

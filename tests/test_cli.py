@@ -16,8 +16,7 @@ from dphotelling.decision import (TestConfig, asymptotic_threshold,
                                   bootstrap_threshold)
 from dphotelling.errors import NumericalError
 from dphotelling.hotelling import private_whitener
-from dphotelling.mechanisms import (PrivacyBudget, compute_summary,
-                                    privatize_summaries)
+from dphotelling.mechanisms import compute_summary, privatize_summaries
 from dphotelling.randkit import chi2_quantile
 from dphotelling.simbench import read_table_csv
 
@@ -688,8 +687,7 @@ class TestCmdCalibrate:
         rng = randkit.RngStream(6)
         sx = compute_summary(cli.read_matrix_csv(x), 1.0)
         sy = compute_summary(cli.read_matrix_csv(y), 1.0)
-        ps = privatize_summaries(rng.substream(1), sx, sy,
-                                 PrivacyBudget.even_split(1.0))
+        ps = privatize_summaries(rng.substream(1), sx, sy, 1.0)
         cfg = TestConfig(epsilon=1.0, bound_m=1.0, alpha=0.1, bootstrap_b=150)
         q_star = bootstrap_threshold(rng.substream(2), ps, cfg,
                                      private_whitener(ps))
@@ -749,6 +747,13 @@ class TestCmdSimulate:
     def test_requires_exactly_one_artifact(self, capsys):
         assert cli.main(["simulate", "--quiet"]) == 2
         assert cli.main(["simulate", "--table1", "--power", "--quiet"]) == 2
+
+    def test_full_option_removed(self, capsys):
+        # --reps 1000 gives the cells that --full used to give.
+        with pytest.raises(SystemExit) as info:
+            cli.main(["simulate", "--table1", "--full", "--quiet"])
+        assert info.value.code == 2
+        assert "--full" in capsys.readouterr().err
 
     def test_unwritable_path(self, capsys):
         code = cli.main(["simulate", "--example32", "--reps", "5",

@@ -8,9 +8,8 @@ from dphotelling.decision import (ASYMPTOTIC, BOOTSTRAP, TestConfig,
                                   asymptotic_threshold, bootstrap_threshold,
                                   quantile_index, run_on_summaries, run_test)
 from dphotelling.hotelling import private_whitener, t_dp_statistic
-from dphotelling.mechanisms import (PRIVACY_OFF, PrivacyBudget,
-                                    PrivatizedSummary, compute_summary,
-                                    privatize_summaries)
+from dphotelling.mechanisms import (PRIVACY_OFF, PrivatizedSummary,
+                                    compute_summary, privatize_summaries)
 from dphotelling.randkit import RngStream, chi2_quantile
 from dphotelling.simbench import DesignSpec, generate
 from oracles import chi2_quantile_oracle
@@ -86,7 +85,7 @@ class TestBootstrapThreshold:
         ps = PrivatizedSummary(
             mean_x_dp=np.zeros(2), mean_y_dp=np.zeros(2),
             cov_x_dp=np.zeros((2, 2)), cov_y_dp=np.zeros((2, 2)),
-            budget=PrivacyBudget.even_split(PRIVACY_OFF),
+            epsilon=PRIVACY_OFF,
             n1=10, n2=10, bound_m=1.0)
         cfg = TestConfig(epsilon=PRIVACY_OFF, bound_m=1.0, alpha=0.2,
                          bootstrap_b=50)
@@ -97,8 +96,7 @@ class TestBootstrapThreshold:
         gen = np.random.default_rng(1)
         sx = compute_summary(gen.uniform(-1, 1, (30, 2)), 1.0)
         sy = compute_summary(gen.uniform(-1, 1, (40, 2)), 1.0)
-        ps = privatize_summaries(RngStream(5), sx, sy,
-                                 PrivacyBudget.even_split(1.0))
+        ps = privatize_summaries(RngStream(5), sx, sy, 1.0)
         cfg = TestConfig(epsilon=1.0, bound_m=1.0)
         a = bootstrap_threshold(RngStream(9), ps, cfg, private_whitener(ps))
         b = bootstrap_threshold(RngStream(9), ps, cfg, private_whitener(ps))
@@ -112,8 +110,7 @@ class TestBootstrapThreshold:
         x, y = generate(rng.substream(0), spec, 100000, 100000)
         sx = compute_summary(x, spec.bound_m)
         sy = compute_summary(y, spec.bound_m)
-        ps = privatize_summaries(rng.substream(1), sx, sy,
-                                 PrivacyBudget.even_split(5.0))
+        ps = privatize_summaries(rng.substream(1), sx, sy, 5.0)
         cfg = TestConfig(epsilon=5.0, bound_m=spec.bound_m, bootstrap_b=2000)
         q_star = bootstrap_threshold(rng.substream(2), ps, cfg,
                                      private_whitener(ps))
@@ -237,8 +234,7 @@ class TestPipelineEntry:
         rng = RngStream(21, d)
         sx = compute_summary(x, spec.bound_m)
         sy = compute_summary(y, spec.bound_m)
-        ps = privatize_summaries(rng.substream(1), sx, sy,
-                                 PrivacyBudget.even_split(eps))
+        ps = privatize_summaries(rng.substream(1), sx, sy, eps)
         statistic = t_dp_statistic(ps)
         if kind == BOOTSTRAP:
             threshold = bootstrap_threshold(rng.substream(2), ps, cfg,

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from dphotelling.hotelling import private_pooled_covariance, t_dp_statistic
-from dphotelling.mechanisms import (PRIVACY_OFF, PrivacyBudget,
-                                    PrivatizedSummary, compute_summary,
-                                    privatize_summaries)
+from dphotelling.mechanisms import (PRIVACY_OFF, PrivatizedSummary,
+                                    compute_summary, privatize_summaries)
 from dphotelling.numlin import symmetric_eigen
 from dphotelling.randkit import RngStream
 from oracles import (hotelling_t2, pooled_covariance, random_orthogonal,
@@ -19,7 +18,7 @@ def _ps(mean_x, mean_y, cov_x, cov_y, n1, n2, m=1.0, eps=PRIVACY_OFF):
         mean_y_dp=np.asarray(mean_y, dtype=float),
         cov_x_dp=np.asarray(cov_x, dtype=float),
         cov_y_dp=np.asarray(cov_y, dtype=float),
-        budget=PrivacyBudget.even_split(eps),
+        epsilon=eps,
         n1=n1, n2=n2, bound_m=m,
     )
 
@@ -126,7 +125,7 @@ class TestPrivatePooledCovariance:
             by = gen.standard_normal((d, d))
             ps = _ps(np.zeros(d), np.zeros(d), bx @ bx.T, by @ by.T,
                      20, 30, m=1.0, eps=float(gen.uniform(0.2, 2.0)))
-            eps = ps.budget.epsilon_total
+            eps = ps.epsilon
             b1 = 2.0 * 1.0 * d / (20 * (eps / 4.0))
             b2 = 2.0 * 1.0 * d / (30 * (eps / 4.0))
             shift = 2.0 * b1 * b1 + 2.0 * b2 * b2
@@ -222,8 +221,7 @@ class TestTDpStatistic:
             n2 = int(gen.integers(3, 60))
             sx = compute_summary(gen.uniform(-1.0, 1.0, (n1, d)), 1.0)
             sy = compute_summary(gen.uniform(-1.0, 1.0, (n2, d)), 1.0)
-            ps = privatize_summaries(RngStream(0), sx, sy,
-                                     PrivacyBudget.even_split(PRIVACY_OFF))
+            ps = privatize_summaries(RngStream(0), sx, sy, PRIVACY_OFF)
             classical = hotelling_t2(sx.mean, sy.mean, sx.cov, sy.cov, n1, n2)
             assert abs(t_dp_statistic(ps) - classical) <= 1e-10 * (1 + classical)
 
@@ -240,8 +238,7 @@ class TestTDpStatistic:
             sx = compute_summary(gen.uniform(-1.0, 1.0, (n1, d)), 1.0)
             sy = compute_summary(gen.uniform(-1.0, 1.0, (n2, d)), 1.0)
             eps = float(gen.uniform(0.05, 8.0))
-            ps = privatize_summaries(RngStream(100, i), sx, sy,
-                                     PrivacyBudget.even_split(eps))
+            ps = privatize_summaries(RngStream(100, i), sx, sy, eps)
             assert t_dp_statistic(ps) >= 0.0
 
     @pytest.mark.slow
@@ -252,7 +249,6 @@ class TestTDpStatistic:
         from dphotelling.simbench import DesignSpec, generate
         spec = DesignSpec("uniform_cube", 1)
         q95 = chi2_quantile(0.95, 1)
-        budget = PrivacyBudget.even_split(5.0)
         hits = 0
         reps = 1000
         for rep in range(reps):
@@ -260,6 +256,6 @@ class TestTDpStatistic:
             x, y = generate(rng.substream(0), spec, 100000, 100000)
             sx = compute_summary(x, spec.bound_m)
             sy = compute_summary(y, spec.bound_m)
-            ps = privatize_summaries(rng.substream(1), sx, sy, budget)
+            ps = privatize_summaries(rng.substream(1), sx, sy, 5.0)
             hits += t_dp_statistic(ps) > q95
         assert 0.039 <= hits / reps <= 0.053

@@ -5,8 +5,8 @@ import pytest
 
 from dphotelling.errors import BoundViolationError
 from dphotelling import randkit
-from dphotelling.mechanisms import (PRIVACY_OFF, PrivacyBudget,
-                                    PrivatizedSummary, SampleSummary,
+from dphotelling.mechanisms import (PRIVACY_OFF, PrivatizedSummary,
+                                    SampleSummary, budget_part,
                                     compute_summary, ed_covariance,
                                     laplace_mean_scale, privatize_mean,
                                     privatize_summaries)
@@ -27,41 +27,20 @@ def _summary(n, m, *, mean=None, cov=None):
 
 class TestPrivacyBudget:
     def test_even_split_parts(self):
-        b = PrivacyBudget.even_split(1.0)
-        assert b.parts == (0.25, 0.25, 0.25, 0.25)
+        assert budget_part(1.0) == 0.25
 
     def test_even_split_sums_exactly(self):
         for eps in (0.1, 0.3, 1.0, 4.0, 5.0, 1.0 / 3.0, math.pi, 1e-6, 1e6):
-            b = PrivacyBudget.even_split(eps)
-            assert math.fsum(b.parts) == eps
+            assert math.fsum([budget_part(eps)] * 4) == eps
 
     def test_infinite_budget_allowed(self):
-        b = PrivacyBudget.even_split(PRIVACY_OFF)
-        assert math.fsum(b.parts) == math.inf
+        assert budget_part(PRIVACY_OFF) == math.inf
 
     def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            PrivacyBudget.even_split(0.0)
-        with pytest.raises(ValueError):
-            PrivacyBudget(1.0, 0.25, 0.25, 0.25, 0.0)
-
-    def test_rejects_wrong_sum(self):
-        with pytest.raises(ValueError, match="sum"):
-            PrivacyBudget(1.0, 0.5, 0.25, 0.25, 0.25)
-
-    def test_total_must_be_the_exact_sum(self):
-        # The naive sum misses the exact sum by one ulp: the budget fails
-        # where it is built, not later at the release.
-        parts = (0.44103280028992065, 0.8500119854096074,
-                 0.06779116727398721, 0.4511664158833398)
-        assert sum(parts) == 1.810002368856855
-        assert math.fsum(parts) == 1.8100023688568552
-        with pytest.raises(ValueError, match="sum"):
-            PrivacyBudget(sum(parts), *parts)
-        budget = PrivacyBudget(math.fsum(parts), *parts)
         s = compute_summary(np.linspace(-0.5, 0.5, 10)[:, None], 1.0)
-        ps = privatize_summaries(RngStream(0), s, s, budget)
-        assert ps.budget.parts == parts
+        for eps in (0.0, -1.0, math.nan):
+            with pytest.raises(ValueError, match="must be positive"):
+                privatize_summaries(RngStream(0), s, s, eps)
 
 
 class TestComputeSummary:
@@ -359,14 +338,14 @@ class TestPrivatizeSummaries:
     def test_budget_audit_on_every_call(self):
         sx, sy = self._summary_pair()
         for eps in (0.1, 0.5, 1.0, 4.0, 1.0 / 3.0, math.pi):
-            ps = privatize_summaries(RngStream(1), sx, sy,
-                                     PrivacyBudget.even_split(eps))
-            assert math.fsum(ps.budget.parts) == eps
+            ps = privatize_summaries(RngStream(1), sx, sy, eps)
+            assert ps.epsilon == eps
+            assert math.fsum([budget_part(ps.epsilon)] * 4) == eps
 
     def test_privacy_off_reproduces_raw(self):
         sx, sy = self._summary_pair(seed=3)
         ps = privatize_summaries(RngStream(1), sx, sy,
-                                 PrivacyBudget.even_split(PRIVACY_OFF))
+                                 PRIVACY_OFF)
         assert np.array_equal(ps.mean_x_dp, sx.mean)
         assert np.array_equal(ps.mean_y_dp, sy.mean)
         assert np.linalg.norm(ps.cov_x_dp - sx.cov) <= 1e-8
@@ -376,11 +355,10 @@ class TestPrivatizeSummaries:
         # d=1, n1=n2=500, m=1, eps=4: mean_x noise is Laplace(0, 0.004).
         base = np.linspace(-0.9, 0.9, 500)[:, None]
         s = compute_summary(base, 1.0)
-        budget = PrivacyBudget.even_split(4.0)
         reps = 10**5
         diffs = np.empty(reps)
         for i in range(reps):
-            ps = privatize_summaries(RngStream(15, i), s, s, budget)
+            ps = privatize_summaries(RngStream(15, i), s, s, 4.0)
             diffs[i] = ps.mean_x_dp[0] - s.mean[0]
         assert ks_statistic_vec(diffs, lambda x: laplace_cdf(x, 0.004)) <= 0.01
 
@@ -388,20 +366,17 @@ class TestPrivatizeSummaries:
         sx, _ = self._summary_pair(d=2)
         _, sy = self._summary_pair(d=3)
         with pytest.raises(ValueError, match="dimension"):
-            privatize_summaries(RngStream(0), sx, sy,
-                                PrivacyBudget.even_split(1.0))
+            privatize_summaries(RngStream(0), sx, sy, 1.0)
 
     def test_bound_mismatch_rejected(self):
         sx, _ = self._summary_pair(m=1.0)
         _, sy = self._summary_pair(m=2.0)
         with pytest.raises(ValueError, match="bound"):
-            privatize_summaries(RngStream(0), sx, sy,
-                                PrivacyBudget.even_split(1.0))
+            privatize_summaries(RngStream(0), sx, sy, 1.0)
 
     def test_releases_are_read_only(self):
         sx, sy = self._summary_pair()
-        ps = privatize_summaries(RngStream(2), sx, sy,
-                                 PrivacyBudget.even_split(1.0))
+        ps = privatize_summaries(RngStream(2), sx, sy, 1.0)
         with pytest.raises(ValueError):
             ps.mean_x_dp[0] = 99.0
         with pytest.raises(ValueError):
@@ -449,15 +424,14 @@ class TestPrivatizedSummaryType:
         if field.startswith("cov"):
             fields[field][:, 0] = bad
         with pytest.raises(ValueError, match=f"{field} has a non-finite"):
-            PrivatizedSummary(**fields, budget=PrivacyBudget.even_split(1.0),
-                              n1=10, n2=10, bound_m=1.0)
+            PrivatizedSummary(**fields, epsilon=1.0, n1=10, n2=10,
+                              bound_m=1.0)
 
     def test_rejects_bad_metadata(self):
         def build(**changes):
             fields = dict(mean_x_dp=np.zeros(2), mean_y_dp=np.zeros(2),
                           cov_x_dp=np.eye(2), cov_y_dp=np.eye(2),
-                          budget=PrivacyBudget.even_split(1.0),
-                          n1=10, n2=10, bound_m=1.0)
+                          epsilon=1.0, n1=10, n2=10, bound_m=1.0)
             fields.update(changes)
             return PrivatizedSummary(**fields)
 
@@ -468,6 +442,9 @@ class TestPrivatizedSummaryType:
         for m in (0.0, -1.0, np.nan):
             with pytest.raises(ValueError, match="bound_m must be positive"):
                 build(bound_m=m)
+        for eps in (0.0, -1.0, np.nan):
+            with pytest.raises(ValueError, match="epsilon must be positive"):
+                build(epsilon=eps)
         with pytest.raises(ValueError, match="bound_m must be positive and finite"):
             build(bound_m=np.inf)
         for field, value in (("mean_y_dp", np.zeros(3)),

@@ -14,7 +14,11 @@ The digest covers
     two CSV pairs, d = 30 with n = 1000 and d = 10 with n = 1e5;
   - the CSV and ``--summary-json`` files of ``simulate --example32
     --reps 20``;
-  - ``run_grid`` tables at d = 1 and d = 10, serial and on two processes.
+  - ``run_grid`` tables at d = 1 and d = 10, serial and on two processes;
+  - each cell of ``table1_cells``, ``table2_cells`` and ``power_cells`` at
+    their default counts, with its ``reps`` and ``bound_m``;
+  - Toeplitz ``generate`` data at d in {2, 10, 30} and one Toeplitz
+    ``run_grid`` cell.
 
 BLAS runs on one thread unless the environment says otherwise, so that
 matrix products sum in a fixed order.
@@ -104,6 +108,27 @@ def grid_tables():
             yield repr(table.rows)
 
 
+def grid_cells():
+    """Every cell the three paper grids build, as ``simulate`` runs them."""
+    for build in (simbench.table1_cells, simbench.table2_cells,
+                  simbench.power_cells):
+        for c in build():
+            spec = c.design
+            yield (f"{build.__name__} {spec.design} d={spec.d} a={spec.a!r} "
+                   f"eps={c.eps!r} n={c.n} {c.kind} reps={c.reps} "
+                   f"bound_m={spec.bound_m!r}")
+
+
+def toeplitz_outputs():
+    """Toeplitz data bytes at d in {2, 10, 30} and one Toeplitz grid cell."""
+    for d in (2, 10, 30):
+        x, y = generate(RngStream(200 + d), DesignSpec("toeplitz", d, a=0.4),
+                        50, 40)
+        yield hashlib.sha256(x.tobytes() + y.tobytes()).hexdigest()
+    cell = CellSpec(DesignSpec("toeplitz", 10), eps=0.5, n=200)
+    yield repr(simbench.run_grid([cell], 6, master_seed=13).rows)
+
+
 def main() -> None:
     imported = Path(dphotelling.__file__).resolve()
     if not imported.is_relative_to(SRC.resolve()):
@@ -112,7 +137,7 @@ def main() -> None:
     with tempfile.TemporaryDirectory() as work:
         work = Path(work)
         for part in (*outcomes(), *cli_outputs(work), *simulate_files(work),
-                     *grid_tables()):
+                     *grid_tables(), *grid_cells(), *toeplitz_outputs()):
             digest.update(part.encode("utf-8") + b"\0")
     print(digest.hexdigest())
 

@@ -5,8 +5,9 @@ parts (two means, two covariances): each release spends
 ``budget_part(epsilon)`` = epsilon / 4. Means get coordinate-wise Laplace
 noise scaled to the cube bound; covariances go through an iterated
 eigenvalue/eigenvector mechanism that always returns a symmetric PSD
-matrix. Privacy holds by construction of the noise scales; the module does
-not re-derive sensitivity proofs.
+matrix. Privacy holds by construction of the noise scales;
+``tests/test_privacy_audit.py`` checks each release's privacy loss on
+pairs of neighbouring datasets (replace one row, n public).
 
 ``PRIVACY_OFF`` (infinity) is a testing-only sentinel: every mechanism
 degenerates to the identity, so the pipeline can be checked against its
@@ -228,20 +229,25 @@ def ed_covariance(rng: randkit.RngStream, s: SampleSummary,
                   eps_part: float) -> np.ndarray:
     """Private covariance release via noised eigenvalues and sampled eigenvectors.
 
-    The summary's covariance cov_hat is rescaled to C = n cov_hat / (d m^2)
-    so that it behaves like a Gram matrix of unit-bounded rows. Each
-    eigenvalue receives Laplace noise of scale 2 / eps_step and is folded
-    by absolute value; an orthonormal eigenbasis is rebuilt one direction
-    at a time by sampling from the exponential-mechanism density
-    exp((eps_step/4) u^T C u) on the sphere of the remaining subspace (Amin
-    et al. 2019). Here
-    eps_step = eps_part / (d + 1), except in one dimension where the whole
-    budget goes to the single eigenvalue and no direction needs sampling.
-    Only d - 1 directions are drawn: the last one is fixed up to a sign by
-    the others, and v v^T ignores the sign. So the release spends
-    eps_step (eigenvalues) plus (d - 1) eps_step (directions), that is
-    d/(d + 1) of eps_part.
-    The reconstruction sum_i lam_i v_i v_i^T is unscaled by d m^2 / n, so
+    The summary's covariance cov_hat is rescaled to
+    C = n cov_hat / (2 d m^2). Replacing one row x by x' changes C by
+    (a a^T - b b^T) / (2 d m^2) with a = x - c, b = x' - c and c the mean of
+    the other rows, so ||a||^2, ||b||^2 <= 4 d m^2 and u^T C u moves by at
+    most 2 for every unit u. Each eigenvalue receives Laplace noise of scale
+    2 / eps_step and is folded by absolute value; an orthonormal eigenbasis
+    is rebuilt one direction at a time by sampling from the
+    exponential-mechanism density exp((eps_step/4) u^T C u) on the sphere
+    of the remaining subspace (Amin et al. 2019), with
+    eps_step = eps_part / d. Only d - 1 directions are drawn: the last one
+    is fixed up to a sign by the others, and v v^T ignores the sign. So the
+    release spends eps_step (eigenvalues) plus (d - 1) eps_step
+    (directions), that is eps_part. At d >= 2 one swap can move the
+    eigenvalues of C by more than 2 in L1 (up to 4/sqrt(3)), but then
+    u^T C u moves by less than 2: a bound-constrained search over swaps at
+    d <= 30 finds the sum of the two spends at most eps_part, reached by
+    swapping opposite corners, and ``tests/test_privacy_audit.py`` checks
+    the sum pair by pair.
+    The reconstruction sum_i lam_i v_i v_i^T is unscaled by 2 d m^2 / n, so
     the release estimates cov_hat itself.
 
     The remaining subspace is held as an orthonormal basis P (q rows) and
@@ -258,21 +264,21 @@ def ed_covariance(rng: randkit.RngStream, s: SampleSummary,
 
     Always returns a symmetric PSD matrix. Under the privacy-off sentinel
     the exact eigenvalues and eigenvectors are kept, so the release equals
-    cov_hat up to recomposition round-off. A rescaling n/(d m^2) or
-    d m^2/n that is zero or not finite, or an overflowing eigenvalue noise
-    scale, raises ValueError.
+    cov_hat up to recomposition round-off. A rescaling n/(2 d m^2) or
+    2 d m^2/n that is zero or not finite, or an overflowing eigenvalue
+    noise scale, raises ValueError.
     """
     _check_eps(eps_part, "eps_part")
     n, m, d = s.n, s.bound_m, s.dim
-    dm2 = d * m * m
+    dm2 = 2.0 * d * m * m
     up = n / dm2 if dm2 > 0.0 else math.inf
     unscale = dm2 / n
-    eps_step = eps_part if d == 1 else eps_part / (d + 1)
+    eps_step = eps_part / d
     noise_scale = 2.0 / eps_step
     if not (0.0 < up < math.inf and 0.0 < unscale < math.inf
             and math.isfinite(noise_scale)):
-        raise _noise_fault(f"covariance release: n/(d m^2) = {up!r}, "
-                           f"d m^2/n = {unscale!r} or 2/eps_step = "
+        raise _noise_fault(f"covariance release: (1/2) n/(d m^2) = {up!r}, "
+                           f"2 d m^2/n = {unscale!r} or 2/eps_step = "
                            f"{noise_scale!r} is zero or not finite",
                            eps_part, s)
     scaled = up * s.cov
@@ -320,7 +326,7 @@ def ed_covariance(rng: randkit.RngStream, s: SampleSummary,
 def privatize_summaries(rng: randkit.RngStream, sx: SampleSummary,
                         sy: SampleSummary,
                         epsilon: float) -> PrivatizedSummary:
-    """Release both groups' means and covariances at total privacy level epsilon.
+    """Release both groups' means and covariances at total privacy epsilon.
 
     Exactly four privatized quantities leave this boundary; no raw
     statistic is carried along. Each release spends ``budget_part(epsilon)``

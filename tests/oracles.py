@@ -202,14 +202,15 @@ def ed_covariance_reference(rng, s, eps_part, batches=None):
     """The ED covariance release as it was when every step, step 0 included,
     decomposed its own subspace matrix P C P^T.
 
-    Takes a ``SampleSummary`` with a finite ``eps_part``; ``batches`` is
-    passed to the sampler.
+    C = n cov_hat / (2 d m^2), eigenvalue noise of scale 2 / eps_step and
+    eps_step = eps_part / d. Takes a ``SampleSummary`` with a finite
+    ``eps_part``; ``batches`` is passed to the sampler.
     """
     n, m, d = s.n, s.bound_m, s.dim
-    scaled = (n / (d * m * m)) * s.cov
+    scaled = (n / (2.0 * d * m * m)) * s.cov
     lam_hat = numlin.symmetric_eigen(scaled).eigenvalues
-    unscale = (d * m * m) / n
-    eps_step = eps_part if d == 1 else eps_part / (d + 1)
+    unscale = (2.0 * d * m * m) / n
+    eps_step = eps_part / d
     noise = randkit.sample_laplace(rng, 2.0 / eps_step, size=d)
     lam_bar = np.abs(lam_hat + noise)
     if d == 1:

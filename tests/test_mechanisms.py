@@ -184,9 +184,9 @@ class TestEdCovariance:
 
     def test_one_dim_folded_laplace_shape(self):
         # After unscaling, the release is |var + L| with L centered Laplace
-        # of scale (d m^2 / n) * (2 / eps_part); full budget since d = 1.
+        # of scale (2 d m^2 / n) * (2 / eps_step), eps_step = eps_part / d.
         var, n, m, eps = 0.5, 500, 1.0, 1.0
-        scale = (m * m / n) * (2.0 / eps)
+        scale = (2.0 * m * m / n) * (2.0 / eps)
         s = _summary(n, m, cov=[[var]])
         reps = 10**5
         vals = np.empty(reps)
@@ -230,11 +230,12 @@ class TestEdCovariance:
             cov = self._random_cov(d, seed)
             out = ed_covariance(RngStream(seed), _summary(n, m, cov=cov), eps)
             assert np.array_equal(out, out.T)
-            # The eigenvalue noise is the stream's first draw.
-            unscale = d * m * m / n
+            # The eigenvalue noise is the stream's first draw, of scale
+            # 2 / eps_step with eps_step = eps / d.
+            unscale = 2.0 * d * m * m / n
             lam_hat = symmetric_eigen(cov / unscale).eigenvalues
             noise = RngStream(seed).generator.laplace(
-                0.0, 2.0 * (d + 1) / eps, size=d)
+                0.0, 2.0 * d / eps, size=d)
             folded = np.sort(unscale * np.abs(lam_hat + noise))[::-1]
             w = np.linalg.eigvalsh(out)[::-1]
             assert w[-1] >= 0.0
@@ -245,7 +246,7 @@ class TestEdCovariance:
         # Noise that sets every folded eigenvalue to 1 turns the release
         # into unscale * D D^T for the matrix D of released directions.
         n, m = 400, 1.5
-        unscale = d * m * m / n
+        unscale = 2.0 * d * m * m / n
         cov = self._random_cov(d, 7)
         s = _summary(n, m, cov=cov)
         lam_hat = symmetric_eigen(cov / unscale).eigenvalues

@@ -297,10 +297,15 @@ def ed_covariance(rng: randkit.RngStream, s: SampleSummary,
     else:
         noise = randkit.sample_laplace(rng, noise_scale, size=d)
         lam_bar = np.abs(lam_hat + noise)
+        if d == 1:
+            # No direction to draw. The shared recomposition below gives
+            # the same bytes but costs about 5 us more per release, some
+            # 4% of a d = 1 test.
+            return np.array([[unscale * lam_bar[0]]])
         directions = np.empty((d, d))
         p_rows = np.eye(d)
         # dec is the decomposition of P C P^T for the current basis P; at
-        # step 0 P = I and P C P^T is C itself. At d = 1 no step runs.
+        # step 0 P = I and P C P^T is C itself.
         for i in range(d - 1):
             if i:
                 ctil = p_rows @ scaled @ p_rows.T

@@ -9,9 +9,8 @@ a parametric bootstrap that tracks the privatization noise.
 
 from .decision import (ASYMPTOTIC, BOOTSTRAP, TestConfig, TestOutcome,
                        asymptotic_threshold, bootstrap_threshold,
-                       run_on_summaries, run_test)
-from .hotelling import (private_pooled_covariance, private_whitener,
-                        t_dp_statistic)
+                       private_pooled_covariance, private_whitener,
+                       run_on_summaries, run_test, t_dp_statistic)
 from .mechanisms import (PRIVACY_OFF, PrivatizedSummary, SampleSummary,
                          compute_summary, ed_covariance, privatize_mean,
                          privatize_summaries)

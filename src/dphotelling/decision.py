@@ -12,6 +12,11 @@ bench all reach it. It privatizes once and whitens the corrected pooled
 matrix once, passing the whitener to both the statistic and
 ``bootstrap_threshold``. Nothing downstream re-checks what the summaries
 and ``TestConfig`` checked when they were built.
+
+The statistic is Hotelling's t^2 of the released means against the
+private-corrected pool, the classical pool plus the variance of the Laplace
+mean noise (the classical t^2 under privacy off). Whitening by the
+round-off-floored inverse root of that pool makes it nonnegative.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import hotelling, numlin, randkit
+from . import numlin, randkit
 from .mechanisms import (BUDGET_PARTS, PrivatizedSummary, SampleSummary,
                          _check_bound, budget_part, compute_summary,
                          laplace_mean_scale, privatize_summaries)
@@ -94,6 +99,48 @@ class TestOutcome:
         return out
 
 
+def _mean_noise_scales(ps: PrivatizedSummary) -> tuple:
+    """Laplace scales (b1, b2) of the two mean releases; 0.0 under privacy off."""
+    part = budget_part(ps.epsilon)
+    return (laplace_mean_scale(ps.n1, ps.bound_m, ps.dim, part),
+            laplace_mean_scale(ps.n2, ps.bound_m, ps.dim, part))
+
+
+def private_pooled_covariance(ps: PrivatizedSummary) -> np.ndarray:
+    """Classical pooling of the private covariances plus the diagonal correction.
+
+    The correction c1 + c2 is added exactly once; c_i = 2 b_i^2 is the
+    variance of the Laplace noise of scale b_i that the mean release of
+    group i added to each coordinate. It vanishes under the privacy-off
+    sentinel; otherwise the result is positive definite.
+    """
+    n1, n2 = ps.n1, ps.n2
+    if n1 + n2 < 3:
+        raise ValueError("classical pooling needs n1 + n2 >= 3")
+    b1, b2 = _mean_noise_scales(ps)
+    shift = 2.0 * b1 * b1 + 2.0 * b2 * b2
+    base = ((n1 - 1) * ps.cov_x_dp + (n2 - 1) * ps.cov_y_dp) / (n1 + n2 - 2)
+    return base + shift * np.eye(ps.dim)
+
+
+def private_whitener(ps: PrivatizedSummary) -> np.ndarray:
+    """S^{-1/2} of the private-corrected pool, with a round-off eigenvalue floor."""
+    return numlin.inverse_sqrt_psd(private_pooled_covariance(ps))
+
+
+def _whitened_t2(root: np.ndarray, mx: np.ndarray, my: np.ndarray, n1: int,
+                 n2: int) -> float:
+    """(n1 n2 / (n1+n2)) ||root (mx - my)||^2 for float vectors mx, my."""
+    z = root @ (mx - my)
+    return (n1 * n2 / (n1 + n2)) * float(z @ z)
+
+
+def t_dp_statistic(ps: PrivatizedSummary) -> float:
+    """Privatized statistic: t2 of the private means against the corrected pool."""
+    return _whitened_t2(private_whitener(ps), ps.mean_x_dp, ps.mean_y_dp,
+                        ps.n1, ps.n2)
+
+
 @lru_cache(maxsize=256)
 def asymptotic_threshold(alpha: float, d: int) -> float:
     """(1 - alpha) quantile of the chi-squared distribution with d dof."""
@@ -116,8 +163,8 @@ def bootstrap_threshold(rng: randkit.RngStream, ps: PrivatizedSummary,
     Each replicate draws means from N(0, cov_dp / n_i), adds fresh Laplace
     noise at the original release scales, and evaluates the statistic with
     ``whitener``, the inverse root of the corrected pooled matrix that the
-    observed statistic used (``hotelling.private_whitener(ps)``). The
-    replicates are sorted, so the result does not depend on their order.
+    observed statistic used (``private_whitener(ps)``). The replicates
+    are sorted, so the result does not depend on their order.
     """
     b = cfg.bootstrap_b
     d = ps.dim
@@ -128,13 +175,10 @@ def bootstrap_threshold(rng: randkit.RngStream, ps: PrivatizedSummary,
     gen = rng.generator
     x_star = gen.standard_normal((b, d)) @ root_x
     y_star = gen.standard_normal((b, d)) @ root_y
-    part = budget_part(ps.epsilon)
-    scale_x = laplace_mean_scale(ps.n1, ps.bound_m, d, part)
-    scale_y = laplace_mean_scale(ps.n2, ps.bound_m, d, part)
-    if scale_x > 0.0:
-        x_star = x_star + gen.laplace(0.0, scale_x, size=(b, d))
-    if scale_y > 0.0:
-        y_star = y_star + gen.laplace(0.0, scale_y, size=(b, d))
+    # Under privacy off both scales are 0 and the Laplace draws are zeros.
+    scale_x, scale_y = _mean_noise_scales(ps)
+    x_star = x_star + gen.laplace(0.0, scale_x, size=(b, d))
+    y_star = y_star + gen.laplace(0.0, scale_y, size=(b, d))
 
     z = (x_star - y_star) @ whitener
     stats = (ps.n1 * ps.n2 / (ps.n1 + ps.n2)) * (z * z).sum(axis=1)
@@ -153,9 +197,9 @@ def run_on_summaries(rng: randkit.RngStream, sx: SampleSummary,
     """
     ps = privatize_summaries(rng.substream(1), sx, sy, cfg.epsilon)
 
-    whitener = hotelling.private_whitener(ps)
-    statistic = hotelling._whitened_t2(whitener, ps.mean_x_dp, ps.mean_y_dp,
-                                       ps.n1, ps.n2)
+    whitener = private_whitener(ps)
+    statistic = _whitened_t2(whitener, ps.mean_x_dp, ps.mean_y_dp, ps.n1,
+                             ps.n2)
     if cfg.threshold_kind == ASYMPTOTIC:
         threshold = asymptotic_threshold(cfg.alpha, ps.dim)
     else:

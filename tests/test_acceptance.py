@@ -11,11 +11,12 @@ import math
 import numpy as np
 import pytest
 
+from dphotelling import mechanisms, t_dp_statistic
 from dphotelling.decision import (ASYMPTOTIC, BOOTSTRAP, TestConfig,
                                   run_on_summaries, run_test)
-from dphotelling.hotelling import t_dp_statistic
-from dphotelling.mechanisms import (PRIVACY_OFF, compute_summary,
-                                    ed_covariance, privatize_summaries)
+from dphotelling.mechanisms import (BUDGET_PARTS, PRIVACY_OFF,
+                                    compute_summary, ed_covariance,
+                                    privatize_summaries)
 from dphotelling.numlin import symmetric_eigen
 from dphotelling.randkit import (RngStream, chi2_cdf, sample_bingham_vector)
 from dphotelling.simbench import (CellSpec, DesignSpec, example32_cells,
@@ -185,7 +186,21 @@ def test_criterion_11_sphere_sampler():
             f"isotropic single-batch {ok_iso}", ok_mean and ok_iso)
 
 
-def test_criterion_12_budget_audit():
+def test_criterion_12_budget_audit(monkeypatch):
+    # Spy on the four releases: the part each one is handed must be the
+    # part the outcome reports for it.
+    received = []  # (release kind, summary, eps_part) in call order
+
+    def spy(kind, release):
+        def call(rng, s, eps_part):
+            received.append((kind, s, eps_part))
+            return release(rng, s, eps_part)
+        return call
+
+    monkeypatch.setattr(mechanisms, "privatize_mean",
+                        spy("mean", mechanisms.privatize_mean))
+    monkeypatch.setattr(mechanisms, "ed_covariance",
+                        spy("cov", mechanisms.ed_covariance))
     gen = np.random.default_rng(7)
     checked = 0
     for eps in (0.1, 0.5, 1.0, 4.0, 5.0, 1.0 / 3.0, math.pi, 0.07, 11.3):
@@ -197,9 +212,14 @@ def test_criterion_12_budget_audit():
             sy = compute_summary(gen.uniform(-1.0, 1.0, (n2, d)), 1.0)
             cfg = TestConfig(epsilon=eps, bound_m=1.0,
                              threshold_kind=ASYMPTOTIC)
+            received.clear()
             parts = run_on_summaries(RngStream(300, i), sx, sy,
                                      cfg).budget_split
-            assert len(parts) == 4 and math.fsum(parts) == eps
+            group = {id(sx): "x", id(sy): "y"}
+            spent = {f"{kind}_{group[id(s)]}": e for kind, s, e in received}
+            assert len(received) == 4 and len(spent) == 4
+            assert [spent[name] for name in BUDGET_PARTS] == list(parts)
+            assert math.fsum(parts) == eps
             checked += 1
     _report(12, "four budget parts sum to epsilon exactly",
             f"{checked} privatized summaries audited", checked == 180)

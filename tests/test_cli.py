@@ -11,11 +11,10 @@ import time
 import numpy as np
 import pytest
 
-from dphotelling import cli, randkit, simbench
+from dphotelling import cli, private_whitener, randkit, simbench
 from dphotelling.decision import (TestConfig, asymptotic_threshold,
                                   bootstrap_threshold)
 from dphotelling.errors import NumericalError
-from dphotelling.hotelling import private_whitener
 from dphotelling.mechanisms import compute_summary, privatize_summaries
 from dphotelling.randkit import chi2_quantile
 from dphotelling.simbench import read_table_csv

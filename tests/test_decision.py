@@ -3,11 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from dphotelling import numlin
+from dphotelling import numlin, private_whitener, t_dp_statistic
 from dphotelling.decision import (ASYMPTOTIC, BOOTSTRAP, TestConfig,
                                   asymptotic_threshold, bootstrap_threshold,
                                   quantile_index, run_on_summaries, run_test)
-from dphotelling.hotelling import private_whitener, t_dp_statistic
 from dphotelling.mechanisms import (PRIVACY_OFF, PrivatizedSummary,
                                     compute_summary, privatize_summaries)
 from dphotelling.randkit import RngStream, chi2_quantile

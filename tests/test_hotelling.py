@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from dphotelling.hotelling import private_pooled_covariance, t_dp_statistic
+from dphotelling import private_pooled_covariance, t_dp_statistic
 from dphotelling.mechanisms import (PRIVACY_OFF, PrivatizedSummary,
                                     compute_summary, privatize_summaries)
 from dphotelling.numlin import symmetric_eigen

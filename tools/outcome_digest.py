@@ -18,7 +18,10 @@ The digest covers
   - each cell of ``table1_cells``, ``table2_cells`` and ``power_cells`` at
     their default counts, with its ``reps`` and ``bound_m``;
   - Toeplitz ``generate`` data at d in {2, 10, 30} and one Toeplitz
-    ``run_grid`` cell.
+    ``run_grid`` cell;
+  - ``t_dp_statistic``, ``private_pooled_covariance``, ``private_whitener``
+    and ``bootstrap_threshold`` on ``privatize_summaries`` output at
+    d in {1, 3}, n1 != n2, epsilon in {1, inf}.
 
 BLAS runs on one thread unless the environment says otherwise, so that
 matrix products sum in a fixed order.
@@ -43,7 +46,10 @@ sys.path.insert(0, str(SRC))
 import numpy as np  # noqa: E402
 
 import dphotelling  # noqa: E402
-from dphotelling import cli, simbench  # noqa: E402
+from dphotelling import (PRIVACY_OFF, bootstrap_threshold,  # noqa: E402
+                         cli, compute_summary, private_pooled_covariance,
+                         private_whitener, privatize_summaries, simbench,
+                         t_dp_statistic)
 from dphotelling.decision import (ASYMPTOTIC, BOOTSTRAP, TestConfig,  # noqa: E402
                                   run_test)
 from dphotelling.randkit import RngStream  # noqa: E402
@@ -129,6 +135,25 @@ def toeplitz_outputs():
     yield repr(simbench.run_grid([cell], 6, master_seed=13).rows)
 
 
+def statistic_parts():
+    """The statistic, the pool, the whitener and a bootstrap threshold."""
+    for d in (1, 3):
+        spec = DesignSpec("uniform_cube", d, a=0.3)
+        x, y = generate(RngStream(300 + d), spec, 90, 70)
+        sx = compute_summary(x, spec.bound_m)
+        sy = compute_summary(y, spec.bound_m)
+        for eps in (1.0, PRIVACY_OFF):
+            ps = privatize_summaries(RngStream(8, d), sx, sy, eps)
+            whitener = private_whitener(ps)
+            cfg = TestConfig(epsilon=eps, bound_m=spec.bound_m)
+            threshold = bootstrap_threshold(RngStream(9, d), ps, cfg,
+                                            whitener)
+            pool = private_pooled_covariance(ps)
+            yield (f"d={d} eps={eps!r} t={t_dp_statistic(ps)!r} "
+                   f"threshold={threshold!r} pool={pool.tobytes().hex()} "
+                   f"whitener={whitener.tobytes().hex()}")
+
+
 def main() -> None:
     imported = Path(dphotelling.__file__).resolve()
     if not imported.is_relative_to(SRC.resolve()):
@@ -137,7 +162,8 @@ def main() -> None:
     with tempfile.TemporaryDirectory() as work:
         work = Path(work)
         for part in (*outcomes(), *cli_outputs(work), *simulate_files(work),
-                     *grid_tables(), *grid_cells(), *toeplitz_outputs()):
+                     *grid_tables(), *grid_cells(), *toeplitz_outputs(),
+                     *statistic_parts()):
             digest.update(part.encode("utf-8") + b"\0")
     print(digest.hexdigest())
 

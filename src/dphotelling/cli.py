@@ -23,13 +23,14 @@ import signal
 import stat
 import struct
 import sys
+import warnings
 from typing import NoReturn
 
 import numpy as np
 
 from . import simbench
 from .decision import (ASYMPTOTIC, BOOTSTRAP, TestConfig, asymptotic_threshold,
-                       quantile_index, run_test)
+                       decide, quantile_index, release_group, run_test)
 from .errors import BoundViolationError, CsvFormatError, NumericalError
 from .mechanisms import BUDGET_PARTS
 from .randkit import RngStream
@@ -44,16 +45,21 @@ _NONPRIVATE_BANNER = (
     "private and must not be released"
 )
 
-# Smallest CSV file, in bytes, that _load_pair parses in a forked child. A
-# fork costs a few ms in a CLI process, from page-table copies and the
-# copy-on-write faults that reference counting triggers, and a file must be
-# large enough to pay it back. Measured on a 2-vCPU KVM Xeon guest, with
-# in-process `test --json` calls on two equal files, median of 15
-# alternating pairs, serial -> forked: 0.59 MiB (d = 10) 14.4 -> 14.8 ms,
-# 0.59 MiB (d = 30) 19.6 -> 19.9 ms, 0.68 MiB 16.4 -> 15.6 ms,
-# 0.98 MiB 22.0 -> 16.3 ms, 19.5 MiB 384 -> 211 ms. The break-even lies
-# near 0.65 MiB; the floor sits above it, where the fork wins every pair.
-_FORK_MIN_BYTES = 2**20
+# Smallest CSV file, in bytes, whose group _run_pair releases in a forked
+# child. A fork costs a few ms in a CLI process, from page-table copies and
+# the copy-on-write faults that reference counting triggers, and the child's
+# read, summary and release must pay it back. Measured on a 2-vCPU KVM Xeon
+# guest, in-process `test --json` on two equal files, forked / serial time,
+# median of 40 alternating pairs (pairs the fork won):
+#   MiB     d = 1         d = 10        d = 30
+#   0.15    0.95 (28)     1.06 (14)     0.92 (26)
+#   0.20    0.94 (24)     1.01 (19)     0.86 (35)
+#   0.25    0.87 (35)     1.06 (17)     0.91 (26)
+#   0.31    0.86 (31)     0.82 (37)     0.79 (34)
+#   0.59    0.79 (32)     0.74 (37)     0.73 (37)
+# and 0.57 (8 of 8) at 19.8 MiB, d = 10. The break-even lies near 0.25 MiB;
+# the floor sits above it, where the fork wins at every d.
+_FORK_MIN_BYTES = 5 * 2**16
 
 # Header of the helper's payload: the array's row and column counts.
 _SHAPE = struct.Struct("2q")
@@ -199,41 +205,57 @@ def _parse_epsilon(raw: str, unsafe_no_privacy: bool) -> float:
     return eps
 
 
-def _load_pair(args):
-    """Read both CSV files, y in a forked child when that pays off.
+def _run_pair(args, cfg: TestConfig):
+    """``run_test`` on the files; a forked child releases y when that pays off.
 
-    The parent reads x meanwhile. Whatever happens to the child, the result
-    and every error are those of reading x, then y, in this process: x's
-    fault comes first, and when the child delivers no complete array the
-    parent reads y itself, so y's own fault is raised here with its usual
-    message.
+    The child reads, summarizes and releases y (``release_group``) while
+    this process does x, and ``decide`` joins the two. The outcome and
+    every error are those of the serial path (read x, read y,
+    ``run_test``): x's read fault comes first, and on any other fault on
+    either side, or a short payload, the child is killed and the serial
+    path runs from x's parsed array.
     """
-    child = (_fork_read(args.y_csv)
+    rng = RngStream(args.seed)
+    child = (_fork_release(args.y_csv, rng, cfg)
              if _fork_pays_off(args.x_csv, args.y_csv) else None)
-    y = None
+    released = None
     try:
         x = read_matrix_csv(args.x_csv)
         if child is not None:
-            y = _receive_array(child[1])
+            released = _both_releases(rng, x, cfg, child[1])
+        if released is not None:
+            # The child exits meanwhile; it is reaped below.
+            return decide(rng, *released, cfg)
     finally:
         if child is not None:
             pid, pipe = child
             pipe.close()
-            if y is None:
+            if released is None:
                 os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-    if y is None:
-        y = read_matrix_csv(args.y_csv)
+    y = read_matrix_csv(args.y_csv)
     if x.shape[1] != y.shape[1]:
         raise CsvFormatError(
             f"column mismatch: {args.x_csv} has {x.shape[1]}, "
             f"{args.y_csv} has {y.shape[1]}"
         )
-    return x, y
+    return run_test(rng, x, y, cfg)
+
+
+def _both_releases(rng, x, cfg, pipe):
+    """x's ``release_group`` and the child's for y, or None on any fault."""
+    try:
+        x_release = release_group(rng, x, cfg, 0)
+    except (ValueError, NumericalError, ArithmeticError):
+        return None  # the serial path raises it in its turn
+    y = _receive_array(pipe)
+    if y is None or y.shape[1] != x.shape[1]:
+        return None
+    return x_release, (int(y[0, 0]), y[1], y[2:])
 
 
 def _fork_pays_off(x_path, y_path) -> bool:
-    """Whether a second CPU may parse y while this process parses x."""
+    """Whether a second CPU may release y while this process releases x."""
     if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
         return False
     if len(os.sched_getaffinity(0)) < 2:
@@ -246,14 +268,16 @@ def _fork_pays_off(x_path, y_path) -> bool:
             and min(info.st_size for info in infos) >= _FORK_MIN_BYTES)
 
 
-def _fork_read(path):
-    """Parse ``path`` in a forked child; return (pid, read end of its pipe).
+def _fork_release(path, rng, cfg):
+    """Release y's group in a forked child; return (pid, read end of its pipe).
 
-    The child writes the array's shape as ``_SHAPE``, then its float64
-    bytes, and exits. It reports no errors: on any fault it exits before
-    the payload is complete. Returns None when no pipe or child can be made.
-    The child runs only the parser, which starts no thread and calls no
-    BLAS, so threads of the parent do not matter to it.
+    The child writes, framed by ``_write_array``, d + 2 rows of d floats:
+    n2 repeated, mean_y_dp, then cov_y_dp; no data row crosses the pipe.
+    On any fault it exits before the payload is complete. Warnings are
+    errors there, as a warning it printed would be printed again by the
+    serial path. Returns None when no pipe or child can be made. The child
+    runs LAPACK: OpenBLAS's fork handler stops its thread pool before a
+    fork and each process restarts it, as in ``simbench.run_grid``'s pool.
     """
     try:
         r, w = os.pipe()
@@ -270,31 +294,15 @@ def _fork_read(path):
         code = 1
         try:
             os.close(r)
-            _leave_parent_cpu()
-            _write_array(w, read_matrix_csv(path))
+            warnings.simplefilter("error")
+            n, mean, cov = release_group(rng, read_matrix_csv(path), cfg, 1)
+            _write_array(w, np.vstack((np.full(len(mean), float(n)), mean,
+                                       cov)))
             code = 0
         finally:
             os._exit(code)
     os.close(w)
     return pid, os.fdopen(r, "rb", buffering=0)
-
-
-def _leave_parent_cpu() -> None:
-    """Move this forked child off the CPU it shares with its parent.
-
-    A child starts on its parent's CPU, and the scheduler can leave both
-    busy processes there for longer than a parse takes: on a 2-vCPU KVM
-    guest it moved one of two forked busy loops only after about 0.5 s. The
-    same guest read two 4.9 MiB files in 99.5 ms serially and in 104.4 ms
-    with a child that stayed put, but in 58.9 ms (serial 97.8 ms) with one
-    that moved itself.
-    """
-    with open("/proc/self/stat", "rb") as fh:
-        # Field 39, "processor", counted after the parenthesised command.
-        cpu = int(fh.read().rsplit(b")", 1)[1].split()[36])
-    others = os.sched_getaffinity(0) - {cpu}
-    if others:
-        os.sched_setaffinity(0, others)
 
 
 def _write_array(fd: int, arr: np.ndarray) -> None:
@@ -305,7 +313,7 @@ def _write_array(fd: int, arr: np.ndarray) -> None:
 
 
 def _receive_array(pipe):
-    """The array a ``_fork_read`` child wrote, or None if its payload is short."""
+    """The array a ``_fork_release`` child wrote, or None if its payload is short."""
     head = bytearray(_SHAPE.size)
     if not _fill(pipe, head):
         return None
@@ -342,8 +350,7 @@ def _config(args, threshold_kind: str) -> TestConfig:
 
 def cmd_test(args) -> int:
     cfg = _config(args, args.mode)
-    x, y = _load_pair(args)
-    outcome = run_test(RngStream(args.seed), x, y, cfg)
+    outcome = _run_pair(args, cfg)
     if args.json:
         print(json.dumps(outcome.to_dict(), sort_keys=True))
     else:
@@ -361,9 +368,8 @@ def cmd_test(args) -> int:
 
 def cmd_calibrate(args) -> int:
     cfg = _config(args, BOOTSTRAP)
-    x, y = _load_pair(args)
     # The test's own pipeline; its statistic and decision are not printed.
-    outcome = run_test(RngStream(args.seed), x, y, cfg)
+    outcome = _run_pair(args, cfg)
     q_star = outcome.threshold
     d = outcome.dim
     q_chi2 = asymptotic_threshold(cfg.alpha, d)

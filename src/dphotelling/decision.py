@@ -6,12 +6,12 @@ it resamples means from the released covariances, re-adds Laplace noise at
 the original public scales, and reads off an empirical order statistic.
 No additional privacy budget is consumed.
 
-``run_on_summaries`` is the one pipeline entry after the summaries:
-``run_test``, the CLI's ``test`` and ``calibrate`` and the Monte Carlo
-bench all reach it. It privatizes once and whitens the corrected pooled
-matrix once, passing the whitener to both the statistic and
-``bootstrap_threshold``. Nothing downstream re-checks what the summaries
-and ``TestConfig`` checked when they were built.
+``run_on_summaries`` is the pipeline entry after the summaries: ``run_test``
+and the Monte Carlo bench reach it. ``release_group`` and ``decide`` split
+the same pipeline by group, so the CLI can release y in a second process.
+Both privatize once and whiten the corrected pooled matrix once, passing
+the whitener to both the statistic and ``bootstrap_threshold``. Nothing
+downstream re-checks what the summaries and ``TestConfig`` checked.
 
 The statistic is Hotelling's t^2 of the released means against the
 private-corrected pool, the classical pool plus the variance of the Laplace
@@ -31,7 +31,8 @@ import numpy as np
 from . import numlin, randkit
 from .mechanisms import (BUDGET_PARTS, PrivatizedSummary, SampleSummary,
                          _check_bound, budget_part, compute_summary,
-                         laplace_mean_scale, privatize_summaries)
+                         laplace_mean_scale, privatize_group,
+                         privatize_summaries)
 
 ASYMPTOTIC = "asymptotic"
 BOOTSTRAP = "bootstrap"
@@ -66,7 +67,8 @@ class TestConfig:
         if self.threshold_kind not in (ASYMPTOTIC, BOOTSTRAP):
             raise ValueError(f"unknown threshold kind {self.threshold_kind!r}")
         if self.threshold_kind == BOOTSTRAP:
-            b, alpha = self.bootstrap_b, self.alpha
+            b = randkit._as_int(self.bootstrap_b, "bootstrap_b")
+            alpha = self.alpha
             index = quantile_index(alpha, b)
             if index < 1 or b * alpha < 10.0:
                 need = max(math.ceil(10.0 / alpha), math.ceil(1 / (1 - alpha)))
@@ -195,8 +197,33 @@ def run_on_summaries(rng: randkit.RngStream, sx: SampleSummary,
     (bootstrap draws from ``rng.substream(2)``) and the decision are
     post-processing of the four releases.
     """
-    ps = privatize_summaries(rng.substream(1), sx, sy, cfg.epsilon)
+    return _outcome(rng, privatize_summaries(rng.substream(1), sx, sy,
+                                            cfg.epsilon), cfg)
 
+
+def release_group(rng: randkit.RngStream, data, cfg: TestConfig,
+                  group: int) -> tuple:
+    """Summarize and release one group (0 for x, 1 for y): (n, mean_dp, cov_dp).
+
+    The bytes are those of ``run_test(rng, x, y, cfg)`` for that group.
+    """
+    s = compute_summary(data, cfg.bound_m, clamp=cfg.clamp)
+    return (s.n, *privatize_group(rng.substream(1), s, cfg.epsilon, group))
+
+
+def decide(rng: randkit.RngStream, x_release: tuple, y_release: tuple,
+           cfg: TestConfig) -> TestOutcome:
+    """``run_test(rng, x, y, cfg)`` from the two ``release_group`` outputs."""
+    (n1, mean_x_dp, cov_x_dp), (n2, mean_y_dp, cov_y_dp) = x_release, y_release
+    return _outcome(rng, PrivatizedSummary(
+        mean_x_dp=mean_x_dp, mean_y_dp=mean_y_dp, cov_x_dp=cov_x_dp,
+        cov_y_dp=cov_y_dp, epsilon=cfg.epsilon, n1=n1, n2=n2,
+        bound_m=float(cfg.bound_m)), cfg)
+
+
+def _outcome(rng: randkit.RngStream, ps: PrivatizedSummary,
+            cfg: TestConfig) -> TestOutcome:
+    """Statistic, threshold and decision: post-processing of the releases."""
     whitener = private_whitener(ps)
     statistic = _whitened_t2(whitener, ps.mean_x_dp, ps.mean_y_dp, ps.n1,
                              ps.n2)

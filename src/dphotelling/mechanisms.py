@@ -47,7 +47,8 @@ def _check_eps(eps: float, name: str = "epsilon") -> float:
     return eps
 
 
-# Names of the four releases, in the order ``privatize_summaries`` makes them.
+# Names of the four releases, in the order of ``budget_split`` and of
+# ``PrivatizedSummary``.
 BUDGET_PARTS = ("mean_x", "mean_y", "cov_x", "cov_y")
 
 
@@ -83,7 +84,7 @@ class SampleSummary:
     bound_m: float
 
     def __post_init__(self):
-        if self.n < 1:
+        if randkit._as_int(self.n, "n") < 1:
             raise ValueError("sample size must be positive")
         _check_bound(self.bound_m)
         mean = _frozen(np.asarray(self.mean, dtype=float).reshape(-1))
@@ -128,7 +129,8 @@ class PrivatizedSummary:
 
     def __post_init__(self):
         _check_eps(self.epsilon)
-        if self.n1 < 1 or self.n2 < 1:
+        if (randkit._as_int(self.n1, "n1") < 1
+                or randkit._as_int(self.n2, "n2") < 1):
             raise ValueError("group sizes must be positive")
         _check_bound(self.bound_m)
         releases = {
@@ -215,14 +217,21 @@ def privatize_mean(rng: randkit.RngStream, s: SampleSummary,
     whose scale b underflows to 0, or whose variance 2 b^2 (the pooled
     correction adds it) overflows, raises ValueError.
     """
-    _check_eps(eps_part, "eps_part")
+    scale = _checked_mean_scale(s, eps_part)
     if math.isinf(eps_part):
         return s.mean.copy()
+    return s.mean + randkit.sample_laplace(rng, scale, size=s.dim)
+
+
+def _checked_mean_scale(s: SampleSummary, eps_part: float) -> float:
+    """The Laplace scale of ``privatize_mean``, whose only faults it raises."""
+    _check_eps(eps_part, "eps_part")
     scale = laplace_mean_scale(s.n, s.bound_m, s.dim, eps_part)
-    if not (scale > 0.0 and math.isfinite(2.0 * scale * scale)):
+    if math.isfinite(eps_part) and not (
+            scale > 0.0 and math.isfinite(2.0 * scale * scale)):
         raise _noise_fault(f"mean release: Laplace scale b = {scale!r} is "
                            "zero or its variance 2 b^2 overflows", eps_part, s)
-    return s.mean + randkit.sample_laplace(rng, scale, size=s.dim)
+    return scale
 
 
 def ed_covariance(rng: randkit.RngStream, s: SampleSummary,
@@ -328,27 +337,38 @@ def ed_covariance(rng: randkit.RngStream, s: SampleSummary,
     return unscale * 0.5 * (out + out.T)
 
 
+def privatize_group(rng: randkit.RngStream, s: SampleSummary, epsilon: float,
+                    group: int) -> tuple:
+    """Release one group's mean and covariance: (mean_dp, cov_dp).
+
+    ``group`` is 0 for x and 1 for y; the substreams are those that
+    ``privatize_summaries(rng, ...)`` uses, so the bytes are the same.
+    """
+    part = budget_part(epsilon)
+    return (privatize_mean(rng.substream(group), s, part),
+            ed_covariance(rng.substream(2 + group), s, part))
+
+
 def privatize_summaries(rng: randkit.RngStream, sx: SampleSummary,
                         sy: SampleSummary,
                         epsilon: float) -> PrivatizedSummary:
     """Release both groups' means and covariances at total privacy epsilon.
 
     Exactly four privatized quantities leave this boundary; no raw
-    statistic is carried along. Each release spends ``budget_part(epsilon)``
-    and draws from its own substream.
+    statistic is carried along. A mean release fails only on its noise
+    scale, so both are checked first: faults keep the order mean_x,
+    mean_y, cov_x, cov_y.
     """
     if sx.dim != sy.dim:
         raise ValueError(f"dimension mismatch: {sx.dim} vs {sy.dim}")
     if sx.bound_m != sy.bound_m:
         raise ValueError("both groups must share the same cube bound m")
-    part = budget_part(epsilon)
+    for s in (sx, sy):
+        _checked_mean_scale(s, budget_part(epsilon))
+    mean_x_dp, cov_x_dp = privatize_group(rng, sx, epsilon, 0)
+    mean_y_dp, cov_y_dp = privatize_group(rng, sy, epsilon, 1)
     return PrivatizedSummary(
-        mean_x_dp=privatize_mean(rng.substream(0), sx, part),
-        mean_y_dp=privatize_mean(rng.substream(1), sy, part),
-        cov_x_dp=ed_covariance(rng.substream(2), sx, part),
-        cov_y_dp=ed_covariance(rng.substream(3), sy, part),
-        epsilon=epsilon,
-        n1=sx.n,
-        n2=sy.n,
+        mean_x_dp=mean_x_dp, mean_y_dp=mean_y_dp, cov_x_dp=cov_x_dp,
+        cov_y_dp=cov_y_dp, epsilon=epsilon, n1=sx.n, n2=sy.n,
         bound_m=sx.bound_m,
     )

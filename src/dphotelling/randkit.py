@@ -13,11 +13,20 @@ deployment the Laplace and sphere samplers must be re-backed by a CSPRNG.
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
 from . import numlin
 from .errors import ConvergenceError, NumericalError, SamplerStallError
+
+
+def _as_int(value, name: str) -> int:
+    """``value`` as an int: Python and numpy integers only, 1.7 is no 1."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 class RngStream:
@@ -34,14 +43,14 @@ class RngStream:
     __slots__ = ("seed", "stream_id", "_path", "_generator")
 
     def __init__(self, seed: int, stream_id: int = 0, _path: tuple = ()):
-        self.seed = int(seed)
-        self.stream_id = int(stream_id)
+        self.seed = _as_int(seed, "seed")
+        self.stream_id = _as_int(stream_id, "stream_id")
         if self.seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {seed}")
         if self.stream_id < 0:
             raise ValueError(
                 f"stream_id must be a non-negative integer, got {stream_id}")
-        self._path = tuple(map(int, _path))
+        self._path = tuple(map(operator.index, _path))
         self._generator = None
 
     @property
@@ -152,11 +161,14 @@ def chi2_quantile(prob: float, dof: int) -> float:
         raise ValueError(f"probability must lie in (0, 1), got {prob}")
     lo = 0.0
     hi = d + 40.0 * math.sqrt(d) + 40.0
-    if chi2_cdf(hi, d) < prob:
+    # P(d/2, x/2) without chi2_cdf's checks; for prob in (0, 1) "not p >= prob"
+    # is its [0, 1] clamp then "< prob", NaN included.
+    a = 0.5 * d
+    if not _reg_lower_gamma(a, 0.5 * hi) >= prob:
         raise NumericalError(f"quantile bracket too small for prob={prob}")
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if chi2_cdf(mid, d) < prob:
+        if not _reg_lower_gamma(a, 0.5 * mid) >= prob:
             lo = mid
         else:
             hi = mid

@@ -1,5 +1,6 @@
-import argparse
+import contextlib
 import csv
+import io
 import json
 import math
 import os
@@ -7,11 +8,12 @@ import signal
 import subprocess
 import sys
 import time
+import warnings
 
 import numpy as np
 import pytest
 
-from dphotelling import cli, private_whitener, randkit, simbench
+from dphotelling import cli, decision, private_whitener, randkit, simbench
 from dphotelling.decision import (TestConfig, asymptotic_threshold,
                                   bootstrap_threshold)
 from dphotelling.errors import NumericalError
@@ -260,12 +262,18 @@ def assert_no_child():
         os.waitpid(-1, os.WNOHANG)
 
 
-def load_pair(x, y):
-    """``_load_pair``'s arrays, or (exit code, stderr) as ``main`` maps them."""
-    try:
-        return cli._load_pair(argparse.Namespace(x_csv=x, y_csv=y))
-    except cli.CsvFormatError as exc:
-        return cli.EXIT_USAGE, f"error: {exc}\n"
+def run_pair(x, y, *opts, command="test"):
+    """(exit code, stdout, stderr) of ``main`` on the pair x, y.
+
+    ``test`` runs with ``--json``; ``opts`` come last, so they override the
+    defaults ``--epsilon 1 --bound-m 1``.
+    """
+    argv = [command, x, y, "--epsilon", "1", "--bound-m", "1",
+            *(["--json"] if command == "test" else []), *opts]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
 
 
 def flags(a):
@@ -273,8 +281,11 @@ def flags(a):
                                     "WRITEABLE", "ALIGNED")}
 
 
+_RELEASES = ("mean_x_dp", "mean_y_dp", "cov_x_dp", "cov_y_dp")
+
+
 class TestForkedRead:
-    """``_load_pair`` reads y in a forked child; nothing else may change."""
+    """``_run_pair`` releases y in a forked child; nothing else may change."""
 
     @pytest.fixture
     def forks(self, monkeypatch, call_count):
@@ -282,26 +293,40 @@ class TestForkedRead:
         monkeypatch.setattr(cli, "_FORK_MIN_BYTES", 0)
         return call_count(os, "fork")
 
+    @pytest.fixture
+    def summaries(self, monkeypatch):
+        """The ``PrivatizedSummary`` of each test that reaches its decision."""
+        seen = []
+        outcome = decision._outcome
+
+        def spy(rng, ps, cfg):
+            seen.append(ps)
+            return outcome(rng, ps, cfg)
+
+        monkeypatch.setattr(decision, "_outcome", spy)
+        return seen
+
     @staticmethod
-    def serial(monkeypatch, x, y):
-        """``load_pair`` with the helper path made to fail the test."""
+    def serial(monkeypatch, x, y, *opts, command="test"):
+        """``run_pair`` with the helper path made to fail the test."""
         def no_fork():
             raise AssertionError("forked on the serial path")
 
         with monkeypatch.context() as m:
             m.setattr(os, "fork", no_fork)
-            return load_pair(x, y)
+            return run_pair(x, y, *opts, command=command)
 
     @classmethod
-    def reference(cls, monkeypatch, x, y):
-        """``load_pair`` with every file below the floor."""
+    def reference(cls, monkeypatch, x, y, *opts, command="test"):
+        """``run_pair`` with every file below the floor."""
         with monkeypatch.context() as m:
             m.setattr(cli, "_FORK_MIN_BYTES", math.inf)
-            return cls.serial(m, x, y)
+            return cls.serial(m, x, y, *opts, command=command)
 
     @pytest.mark.parametrize("layout", sorted(_LAYOUTS))
     @pytest.mark.parametrize("fmt", sorted(_NUMBER_FORMATS))
-    def test_same_array_as_serial_read(self, tmp_path, forks, fmt, layout):
+    def test_same_array_as_serial_read(self, tmp_path, monkeypatch, forks,
+                                       summaries, fmt, layout):
         gen = np.random.default_rng([sorted(_NUMBER_FORMATS).index(fmt),
                                      sorted(_LAYOUTS).index(layout)])
         values = gen.uniform(-10.0, 10.0, (8, 3)) * 10.0 ** gen.integers(
@@ -309,12 +334,22 @@ class TestForkedRead:
         rows = [[_NUMBER_FORMATS[fmt](float(v)) for v in row] for row in values]
         p = tmp_path / "a.csv"
         p.write_bytes(_LAYOUTS[layout](rows).encode("utf-8"))
-        # The parent reads the file as x, the child the same file as y.
-        x, y = load_pair(str(p), str(p))
+        # The parent releases the file as x, the child the same file as y.
+        got = run_pair(str(p), str(p), "--bound-m", "1e10")
         assert len(forks) == 1
-        assert_same_bytes(x, y)
-        assert flags(x) == flags(y)
         assert_no_child()
+        assert got == self.reference(monkeypatch, str(p), str(p),
+                                     "--bound-m", "1e10")
+        if layout == "single_row":  # one observation: both paths fail alike
+            assert got[0] == cli.EXIT_USAGE and not summaries
+            return
+        assert got[0] == 0
+        forked, serial = summaries
+        for name in _RELEASES:
+            a, b = getattr(forked, name), getattr(serial, name)
+            assert_same_bytes(a, b)
+            assert flags(a) == flags(b)
+        assert (forked.n1, forked.n2) == (serial.n1, serial.n2)
 
     def test_same_json_stdout(self, h0_pair, monkeypatch, forks, capsys):
         argv = ["test", *h0_pair, "--epsilon", "0.7", "--bound-m", "1",
@@ -327,6 +362,34 @@ class TestForkedRead:
         assert len(forks) == 1
         assert capsys.readouterr().out == forked
         assert_no_child()
+
+    @pytest.mark.parametrize("d", [1, 3, 30])
+    @pytest.mark.parametrize("command, opts", [
+        ("test", ["--json"]),
+        ("test", []),
+        ("test", ["--mode", "asymptotic", "--clamp"]),
+        ("calibrate", []),
+        ("test", ["--json", "--epsilon", "inf", "--unsafe-no-privacy"]),
+        ("test", ["--epsilon", "inf", "--unsafe-no-privacy"]),
+        ("calibrate", ["--epsilon", "inf", "--unsafe-no-privacy"]),
+    ], ids=["json", "plain", "asymptotic-clamp", "calibrate", "json-inf",
+            "plain-inf", "calibrate-inf"])
+    def test_same_stdout_at_any_floor(self, tmp_path, monkeypatch, forks,
+                                      call_count, d, command, opts):
+        gen = np.random.default_rng(d)
+        x, y = (write_csv(tmp_path / f"{g}.csv",
+                          gen.uniform(-1, 1, (n, d)))
+                for g, n in (("x", 120), ("y", 90)))
+        argv = [command, x, y, "--epsilon", "0.9", "--bound-m", "1",
+                "--seed", "6", *opts]
+        serial_runs = call_count(cli, "run_test")
+        forked = run_pair(x, y, *argv[3:], command=command)
+        assert len(forks) == 1 and not serial_runs  # the child delivered
+        assert_no_child()
+        assert forked[0] == 0 and forked[2] == ""
+        assert forked == self.reference(monkeypatch, x, y, *argv[3:],
+                                        command=command)
+        assert len(serial_runs) == 1
 
     @pytest.mark.parametrize("x_text, y_text", [
         ("1,2\nx,3\n", "1,2\n3,nan\n"),
@@ -347,16 +410,38 @@ class TestForkedRead:
             y.write_bytes(y_text)
         else:
             y.write_text(y_text)
-        got = load_pair(str(x), str(y))
+        got = run_pair(str(x), str(y))
         assert len(forks) == 1
         assert_no_child()
         assert got == self.reference(monkeypatch, str(x), str(y))
-        code, err = got
+        code, _, err = got
         assert code == cli.EXIT_USAGE
         if x_text.startswith("0.1"):
             assert str(y) in err
         else:
             assert str(x) in err
+
+    @pytest.mark.parametrize("x_rows, y_text, code, named", [
+        ([[0.1, 0.2], [0.3, 1.5]], "0.1,0.2\n0.3,oops\n", cli.EXIT_USAGE, "y"),
+        ([[0.1, 0.2], [0.3, 0.4]], "0.1,0.2\n0.3,1.5\n", cli.EXIT_BOUNDS,
+         None),
+        ([[0.1, 0.2], [0.3, 1.5]], "0.1,0.2\n0.3,1.5\n", cli.EXIT_BOUNDS,
+         None),
+        ([[0.1, 0.2]], "0.1,0.2\n0.3,1.5\n", cli.EXIT_USAGE, None),
+    ], ids=["x-bound-y-csv", "y-bound", "both-bound", "x-one-row-y-bound"])
+    def test_mixed_faults_keep_the_serial_order(self, tmp_path, monkeypatch,
+                                                forks, x_rows, y_text, code,
+                                                named):
+        x = write_csv(tmp_path / "x.csv", x_rows)
+        y = tmp_path / "y.csv"
+        y.write_text(y_text)
+        got = run_pair(x, str(y))
+        assert len(forks) == 1
+        assert_no_child()
+        assert got == self.reference(monkeypatch, x, str(y))
+        assert got[0] == code and got[1] == ""
+        if named == "y":
+            assert got[2] == f"error: {y}: line 2: non-numeric field\n"
 
     def test_bad_y_exit_code_through_main(self, tmp_path, forks, capsys):
         x = write_csv(tmp_path / "x.csv", [[0.1, 0.2], [0.3, 0.4]])
@@ -367,6 +452,46 @@ class TestForkedRead:
         assert capsys.readouterr().err == (
             f"error: {y}: line 2, column 2: non-finite value 'inf'\n")
         assert len(forks) == 1
+        assert_no_child()
+
+    def test_payload_size_does_not_depend_on_n(self, tmp_path, forks):
+        # The spy runs in the child and logs each payload to a file.
+        log = tmp_path / "payloads.txt"
+        write = cli._write_array
+
+        def spy(fd, arr):
+            with open(log, "a", encoding="utf-8") as fh:
+                fh.write(f"{arr.shape} {arr.nbytes}\n")
+            write(fd, arr)
+
+        gen = np.random.default_rng(2)
+        for n in (10, 1000):
+            x, y = (write_csv(tmp_path / f"{g}{n}.csv",
+                              gen.uniform(-1, 1, (n, 3))) for g in "xy")
+            with pytest.MonkeyPatch.context() as m:
+                m.setattr(cli, "_write_array", spy)
+                assert run_pair(x, y)[0] == 0
+        assert len(forks) == 2
+        assert_no_child()
+        assert log.read_text().splitlines() == ["(5, 3) 120"] * 2
+
+    def test_child_warning_goes_back_to_the_serial_path(self, h0_pair,
+                                                        monkeypatch, forks,
+                                                        call_count):
+        # A warning in the child would be printed twice if the serial path
+        # printed it again; the child gives up instead and prints nothing.
+        release = cli.release_group
+
+        def warn_in_child(rng, data, cfg, group):
+            if group == 1:
+                warnings.warn("from the child", RuntimeWarning)
+            return release(rng, data, cfg, group)
+
+        expected = self.reference(monkeypatch, *h0_pair)
+        monkeypatch.setattr(cli, "release_group", warn_in_child)
+        serial_runs = call_count(cli, "run_test")
+        assert run_pair(*h0_pair) == expected
+        assert len(forks) == 1 and len(serial_runs) == 1
         assert_no_child()
 
     @staticmethod
@@ -382,43 +507,57 @@ class TestForkedRead:
     ], ids=["exits-before-writing", "killed", "short-header", "short-payload"])
     def test_helper_failure_falls_back_to_serial_read(self, h0_pair,
                                                       monkeypatch, forks,
-                                                      failure):
+                                                      call_count, failure):
         expected = self.reference(monkeypatch, *h0_pair)
         monkeypatch.setattr(cli, "_write_array", failure)
-        x, y = load_pair(*h0_pair)
-        assert len(forks) == 1
-        assert_same_bytes(x, expected[0])
-        assert_same_bytes(y, expected[1])
+        serial_runs = call_count(cli, "run_test")
+        got = run_pair(*h0_pair)
+        assert len(forks) == 1 and len(serial_runs) == 1
+        assert got == expected and got[0] == 0
         assert_no_child()
 
     def test_x_fault_kills_the_child(self, tmp_path, monkeypatch, forks):
         # A child that would take a minute; x's error must not wait for it.
-        y = write_csv(tmp_path / "y.csv", [[0.1, 0.2]])
+        y = write_csv(tmp_path / "y.csv", [[0.1, 0.2], [0.3, 0.4]])
         x = tmp_path / "x.csv"
         x.write_text("1,2\nbroken\n")
         monkeypatch.setattr(cli, "_write_array", lambda fd, arr: time.sleep(60))
         start = time.monotonic()
-        code, err = load_pair(str(x), y)
+        code, _, err = run_pair(str(x), y)
         assert time.monotonic() - start < 20
         assert len(forks) == 1
         assert code == 2 and str(x) in err
         assert_no_child()
 
+    def test_x_release_fault_kills_the_child(self, tmp_path, monkeypatch,
+                                             forks):
+        # x parses but leaves the bound; the serial path reads y and
+        # raises x's bound fault without waiting for the child.
+        y = write_csv(tmp_path / "y.csv", [[0.1, 0.2], [0.3, 0.4]])
+        x = write_csv(tmp_path / "x.csv", [[0.1, 0.2], [0.3, 4.0]])
+        monkeypatch.setattr(cli, "_write_array", lambda fd, arr: time.sleep(60))
+        start = time.monotonic()
+        code, _, err = run_pair(x, y)
+        assert time.monotonic() - start < 20
+        assert len(forks) == 1
+        assert code == cli.EXIT_BOUNDS and "outside [-1.0, 1.0]" in err
+        assert_no_child()
+
     def test_below_floor_reads_serially(self, h0_pair, monkeypatch):
         assert os.path.getsize(h0_pair[1]) < cli._FORK_MIN_BYTES
-        x, y = self.serial(monkeypatch, *h0_pair)
-        assert y.shape == (220, 2)
+        code, out, _ = self.serial(monkeypatch, *h0_pair)
+        assert code == 0 and json.loads(out)["n2"] == 220
 
     def test_one_cpu_reads_serially(self, h0_pair, monkeypatch, forks):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-        x, y = self.serial(monkeypatch, *h0_pair)
-        assert y.shape == (220, 2)
+        code, out, _ = self.serial(monkeypatch, *h0_pair)
+        assert code == 0 and json.loads(out)["n2"] == 220
         assert not forks
 
     def test_non_regular_file_reads_serially(self, h0_pair, monkeypatch,
                                              forks):
         # A character device: the serial read finds it empty.
-        code, err = self.serial(monkeypatch, h0_pair[0], os.devnull)
+        code, _, err = self.serial(monkeypatch, h0_pair[0], os.devnull)
         assert (code, err) == (2, f"error: {os.devnull}: file is empty\n")
         assert not forks
 

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from dphotelling import numlin, private_whitener, t_dp_statistic
+from dphotelling.errors import BoundViolationError
 from dphotelling.decision import (ASYMPTOTIC, BOOTSTRAP, TestConfig,
                                   asymptotic_threshold, bootstrap_threshold,
-                                  quantile_index, run_on_summaries, run_test)
+                                  decide, quantile_index, release_group,
+                                  run_on_summaries, run_test)
 from dphotelling.mechanisms import (PRIVACY_OFF, PrivatizedSummary,
                                     compute_summary, privatize_summaries)
 from dphotelling.randkit import RngStream, chi2_quantile
@@ -61,6 +63,17 @@ class TestTestConfig:
         assert cfg.alpha == 0.999
         with pytest.raises(ValueError, match="bootstrap_b=200"):
             TestConfig(epsilon=1.0, bound_m=1.0, alpha=0.999)
+
+    @pytest.mark.parametrize("b", [200.5, 250.0, "200"])
+    def test_rejects_non_integer_bootstrap_b(self, b):
+        # 250.0 used to construct and then fail inside bootstrap_threshold.
+        with pytest.raises(ValueError, match="bootstrap_b must be an integer"):
+            TestConfig(epsilon=1.0, bound_m=1.0, bootstrap_b=b)
+
+    def test_numpy_integer_bootstrap_b_runs(self):
+        cfg = TestConfig(epsilon=1.0, bound_m=1.0, bootstrap_b=np.int64(200))
+        x = np.linspace(-0.5, 0.5, 30).reshape(10, 3)
+        assert run_test(RngStream(4), x, x[::-1], cfg).threshold > 0.0
 
     def test_rejects_bad_alpha(self):
         for alpha in (0.0, 1.0, -0.5):
@@ -244,6 +257,32 @@ class TestPipelineEntry:
         assert out.threshold == threshold
         assert out.reject == (statistic > threshold)
         assert run_on_summaries(RngStream(21, d), sx, sy, cfg) == out
+
+
+class TestGroupReleases:
+    """Each group released apart, then joined: the bytes of ``run_test``."""
+
+    @pytest.mark.parametrize("d", [1, 3, 30])
+    @pytest.mark.parametrize("kind", [BOOTSTRAP, ASYMPTOTIC])
+    @pytest.mark.parametrize("eps", [0.7, PRIVACY_OFF])
+    def test_decide_matches_run_test(self, d, kind, eps):
+        spec = DesignSpec("uniform_cube", d, a=0.3)
+        x, y = generate(RngStream(80 + d), spec, 60, 45)
+        cfg = TestConfig(epsilon=eps, bound_m=spec.bound_m,
+                         threshold_kind=kind, clamp=True)
+        rng = RngStream(23, d)
+        x_release = release_group(rng, x, cfg, 0)
+        y_release = release_group(rng, y, cfg, 1)
+        assert (x_release[0], y_release[0]) == (60, 45)
+        assert decide(rng, x_release, y_release, cfg) == run_test(
+            RngStream(23, d), x, y, cfg)
+
+    def test_release_faults_are_the_summarys(self):
+        cfg = TestConfig(epsilon=1.0, bound_m=1.0)
+        with pytest.raises(BoundViolationError):
+            release_group(RngStream(0), np.array([[0.5], [1.5]]), cfg, 1)
+        with pytest.raises(ValueError, match="two observations"):
+            release_group(RngStream(0), np.array([[0.5]]), cfg, 0)
 
 
 class TestHotPathCalls:

@@ -8,8 +8,8 @@ from dphotelling import randkit
 from dphotelling.mechanisms import (PRIVACY_OFF, PrivatizedSummary,
                                     SampleSummary, budget_part,
                                     compute_summary, ed_covariance,
-                                    laplace_mean_scale, privatize_mean,
-                                    privatize_summaries)
+                                    laplace_mean_scale, privatize_group,
+                                    privatize_mean, privatize_summaries)
 from dphotelling.numlin import symmetric_eigen
 from dphotelling.randkit import RngStream
 from dphotelling.simbench import DesignSpec, generate
@@ -375,6 +375,29 @@ class TestPrivatizeSummaries:
         with pytest.raises(ValueError, match="bound"):
             privatize_summaries(RngStream(0), sx, sy, 1.0)
 
+    @pytest.mark.parametrize("eps", [0.6, PRIVACY_OFF])
+    def test_groups_released_apart_give_the_same_bytes(self, eps):
+        sx, sy = self._summary_pair(seed=4, d=3)
+        ps = privatize_summaries(RngStream(6), sx, sy, eps)
+        for group, s in enumerate((sx, sy)):
+            mean_dp, cov_dp = privatize_group(RngStream(6), s, eps, group)
+            name = "xy"[group]
+            assert getattr(ps, f"mean_{name}_dp").tobytes() == mean_dp.tobytes()
+            assert getattr(ps, f"cov_{name}_dp").tobytes() == cov_dp.tobytes()
+
+    def test_mean_fault_comes_before_a_covariance_fault(self):
+        # Every covariance release fails at m = 1e-160 (n / (2 d m^2)
+        # overflows); at eps_part = 1e-314 the mean release of n = 2 fails
+        # too (2 b^2 overflows), that of n = 4 does not. The four releases
+        # fail in the order mean_x, mean_y, cov_x, cov_y.
+        m = 1e-160
+        sx = SampleSummary(n=4, mean=[0.0], cov=[[0.0]], bound_m=m)
+        sy = SampleSummary(n=2, mean=[0.0], cov=[[0.0]], bound_m=m)
+        with pytest.raises(ValueError, match="covariance release"):
+            privatize_group(RngStream(0), sx, 4e-314, 0)
+        with pytest.raises(ValueError, match="mean release.*n=2"):
+            privatize_summaries(RngStream(0), sx, sy, 4e-314)
+
     def test_releases_are_read_only(self):
         sx, sy = self._summary_pair()
         ps = privatize_summaries(RngStream(2), sx, sy, 1.0)
@@ -405,6 +428,14 @@ class TestSampleSummaryType:
         cov[1, 1] = bad
         with pytest.raises(ValueError, match="cov has a non-finite"):
             SampleSummary(n=5, mean=np.zeros(2), cov=cov, bound_m=1.0)
+
+    @pytest.mark.parametrize("n", [2.5, 5.0, "5"])
+    def test_rejects_non_integer_size(self, n):
+        # 2.5 used to construct and scale the noise by 2.5.
+        with pytest.raises(ValueError, match="n must be an integer"):
+            SampleSummary(n=n, mean=np.zeros(1), cov=np.eye(1), bound_m=1.0)
+        assert SampleSummary(n=np.int64(5), mean=np.zeros(1), cov=np.eye(1),
+                             bound_m=1.0).n == 5
 
     @pytest.mark.parametrize("m", [math.inf, -math.inf])
     def test_rejects_infinite_bound(self, m):
@@ -439,6 +470,9 @@ class TestPrivatizedSummaryType:
         build()
         for n1, n2 in ((0, 10), (10, 0), (-3, 10)):
             with pytest.raises(ValueError, match="group sizes must be positive"):
+                build(n1=n1, n2=n2)
+        for n1, n2, name in ((10.5, 10, "n1"), (10, 10.0, "n2")):
+            with pytest.raises(ValueError, match=f"{name} must be an integer"):
                 build(n1=n1, n2=n2)
         for m in (0.0, -1.0, np.nan):
             with pytest.raises(ValueError, match="bound_m must be positive"):

@@ -45,6 +45,23 @@ class TestRngStream:
                            match=f"{name} must be a non-negative integer"):
             RngStream(seed, stream_id)
 
+    @pytest.mark.parametrize("seed, stream_id, name", [
+        (1.7, 0, "seed"), (1.0, 0, "seed"), ("1", 0, "seed"),
+        (1, 2.5, "stream_id"), (1, 2.0, "stream_id")])
+    def test_rejects_non_integer_identity(self, seed, stream_id, name):
+        # RngStream(1.7) used to truncate to the stream of seed 1.
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            RngStream(seed, stream_id)
+        with pytest.raises(TypeError):
+            RngStream(1).substream(1.5)
+
+    def test_numpy_integers_are_the_same_stream(self):
+        a = RngStream(np.int64(9), np.uint8(2)).substream(np.int32(3))
+        b = RngStream(9, 2).substream(3)
+        assert (a.generator.standard_normal(5).tobytes()
+                == b.generator.standard_normal(5).tobytes())
+        assert repr(a) == repr(b)
+
     def test_draws_do_not_depend_on_when_the_generator_is_built(self):
         # Read first: the generator exists before any substream.
         early = RngStream(8, 2)
@@ -130,6 +147,25 @@ class TestChi2:
             chi2_cdf(1.0, 0)
         with pytest.raises(ValueError):
             chi2_cdf(-1.0, 2)
+
+    def test_quantile_is_the_bisection_on_the_public_cdf(self):
+        # The bisection reads the incomplete gamma directly; its steps must
+        # be those of bisecting chi2_cdf, bit for bit.
+        def reference(prob, d):
+            lo, hi = 0.0, d + 40.0 * math.sqrt(d) + 40.0
+            for _ in range(200):
+                mid = 0.5 * (lo + hi)
+                if chi2_cdf(mid, d) < prob:
+                    lo = mid
+                else:
+                    hi = mid
+                if hi - lo <= 1e-12 * max(1.0, lo):
+                    break
+            return 0.5 * (lo + hi)
+
+        for d in (1, 2, 3, 10, 30, 101, 1000):
+            for prob in (1e-12, 1e-3, 0.05, 0.5, 0.9, 0.95, 0.99, 1 - 1e-9):
+                assert chi2_quantile(prob, d) == reference(prob, d)
 
     def test_non_convergence_raises_convergence_error(self, monkeypatch):
         monkeypatch.setattr(randkit, "_GAMMA_MAX_ITER", 1)

@@ -12,6 +12,9 @@ The digest covers
     epsilon in {0.3, 1, 2, inf}, both threshold rules, clamping on and off;
   - the standard output of ``test --json``, ``test`` and ``calibrate`` on
     two CSV pairs, d = 30 with n = 1000 and d = 10 with n = 1e5;
+  - the exit code and standard error of ``test`` on two fault pairs of
+    1.2 MiB files: x outside the bound with a malformed y, and only y
+    outside the bound;
   - the CSV and ``--summary-json`` files of ``simulate --example32
     --reps 20``;
   - ``run_grid`` tables at d = 1 and d = 10, serial and on two processes;
@@ -91,6 +94,26 @@ def cli_outputs(work: Path):
             yield f"{argv[0]} d={d} exit={code}\n{buf.getvalue()}"
 
 
+def cli_faults(work: Path):
+    """Exit code and stderr of `test` when x, y or both are at fault."""
+    gen = np.random.default_rng(5)
+    clean, outside = (work / "clean.csv", work / "outside.csv")
+    np.savetxt(clean, gen.uniform(-1.0, 1.0, (6000, 10)), fmt="%.17g",
+               delimiter=",")
+    data = gen.uniform(-1.0, 1.0, (6000, 10))
+    data[4321, 7] = 1.5
+    np.savetxt(outside, data, fmt="%.17g", delimiter=",")
+    malformed = work / "malformed.csv"
+    malformed.write_text(clean.read_text() + "0.1,oops" + ",0.2" * 8 + "\n")
+    for x, y in ((outside, malformed), (clean, outside)):
+        buf = io.StringIO()
+        with contextlib.redirect_stderr(buf):
+            code = cli.main(["test", str(x), str(y), "--epsilon", "1",
+                             "--bound-m", "1", "--seed", "3"])
+        err = buf.getvalue().replace(str(work), "WORK")
+        yield f"test {x.name} {y.name} exit={code}\n{err}"
+
+
 def simulate_files(work: Path):
     """The CSV and summary JSON that `simulate --example32 --reps 20` writes."""
     table, summary = work / "example32.csv", work / "example32.json"
@@ -161,7 +184,8 @@ def main() -> None:
     digest = hashlib.sha256()
     with tempfile.TemporaryDirectory() as work:
         work = Path(work)
-        for part in (*outcomes(), *cli_outputs(work), *simulate_files(work),
+        for part in (*outcomes(), *cli_outputs(work), *cli_faults(work),
+                     *simulate_files(work),
                      *grid_tables(), *grid_cells(), *toeplitz_outputs(),
                      *statistic_parts()):
             digest.update(part.encode("utf-8") + b"\0")

@@ -21,7 +21,6 @@ import os
 import re
 import signal
 import stat
-import struct
 import sys
 import warnings
 from typing import NoReturn
@@ -60,9 +59,6 @@ _NONPRIVATE_BANNER = (
 # and 0.57 (8 of 8) at 19.8 MiB, d = 10. The break-even lies near 0.25 MiB;
 # the floor sits above it, where the fork wins at every d.
 _FORK_MIN_BYTES = 5 * 2**16
-
-# Header of the helper's payload: the array's row and column counts.
-_SHAPE = struct.Struct("2q")
 
 
 def read_matrix_csv(path) -> np.ndarray:
@@ -212,8 +208,8 @@ def _run_pair(args, cfg: TestConfig):
     this process does x, and ``decide`` joins the two. The outcome and
     every error are those of the serial path (read x, read y,
     ``run_test``): x's read fault comes first, and on any other fault on
-    either side, or a short payload, the child is killed and the serial
-    path runs from x's parsed array.
+    either side, or a payload of another length, the child is killed and
+    the serial path runs from x's parsed array.
     """
     rng = RngStream(args.seed)
     child = (_fork_release(args.y_csv, rng, cfg)
@@ -248,9 +244,12 @@ def _both_releases(rng, x, cfg, pipe):
         x_release = release_group(rng, x, cfg, 0)
     except (ValueError, NumericalError, ArithmeticError):
         return None  # the serial path raises it in its turn
-    y = _receive_array(pipe)
-    if y is None or y.shape[1] != x.shape[1]:
+    # d (d + 2) rises with d, so the length also rules out another width.
+    d = x.shape[1]
+    payload = pipe.read()
+    if len(payload) != 8 * d * (d + 2):
         return None
+    y = np.frombuffer(payload).reshape(d + 2, d)
     return x_release, (int(y[0, 0]), y[1], y[2:])
 
 
@@ -271,9 +270,11 @@ def _fork_pays_off(x_path, y_path) -> bool:
 def _fork_release(path, rng, cfg):
     """Release y's group in a forked child; return (pid, read end of its pipe).
 
-    The child writes, framed by ``_write_array``, d + 2 rows of d floats:
-    n2 repeated, mean_y_dp, then cov_y_dp; no data row crosses the pipe.
-    On any fault it exits before the payload is complete. Warnings are
+    The child writes d + 2 rows of d float64, with no header: n2 repeated,
+    mean_y_dp, then cov_y_dp; no data row crosses the pipe. It then closes
+    the pipe, and the parent accepts exactly 8 d (d + 2) bytes, d being
+    x's width. On any fault the child exits before it has written them all,
+    and another width gives another length. Warnings are
     errors there, as a warning it printed would be printed again by the
     serial path. Returns None when no pipe or child can be made. The child
     runs LAPACK: OpenBLAS's fork handler stops its thread pool before a
@@ -302,34 +303,12 @@ def _fork_release(path, rng, cfg):
         finally:
             os._exit(code)
     os.close(w)
-    return pid, os.fdopen(r, "rb", buffering=0)
+    return pid, open(r, "rb")
 
 
 def _write_array(fd: int, arr: np.ndarray) -> None:
-    for chunk in (_SHAPE.pack(*arr.shape), memoryview(arr).cast("B")):
-        view = memoryview(chunk)
-        while view:
-            view = view[os.write(fd, view):]
-
-
-def _receive_array(pipe):
-    """The array a ``_fork_release`` child wrote, or None if its payload is short."""
-    head = bytearray(_SHAPE.size)
-    if not _fill(pipe, head):
-        return None
-    out = np.empty(_SHAPE.unpack(head))
-    return out if _fill(pipe, out) else None
-
-
-def _fill(pipe, buf) -> bool:
-    """Read exactly len(buf) bytes into ``buf``; False at an early end of file."""
-    view = memoryview(buf).cast("B")
-    while view:
-        got = pipe.readinto(view)
-        if not got:
-            return False
-        view = view[got:]
-    return True
+    with open(fd, "wb") as fh:
+        fh.write(arr.tobytes())
 
 
 def _budget_line(split) -> str:

@@ -18,7 +18,7 @@ import numpy as np
 
 from .decision import ASYMPTOTIC, BOOTSTRAP, TestConfig, run_test
 from .errors import BoundViolationError
-from .randkit import RngStream
+from .randkit import RngStream, _as_int
 
 UNIFORM_CUBE = "uniform_cube"
 TOEPLITZ = "toeplitz"
@@ -51,7 +51,7 @@ class DesignSpec:
     def __post_init__(self):
         if self.design not in _DESIGNS:
             raise ValueError(f"unknown design {self.design!r}")
-        if self.d < 1:
+        if _as_int(self.d, "d") < 1:
             raise ValueError("dimension must be >= 1")
         if self.a < 0.0:
             raise ValueError("mean shift a must be nonnegative")
@@ -98,7 +98,7 @@ def _sample_truncated_gaussian(rng: RngStream, n: int) -> np.ndarray:
 
 def generate(rng: RngStream, spec: DesignSpec, n1: int, n2: int):
     """Draw the two samples of a design; every entry lies inside [-m, m]^d."""
-    if n1 < 2 or n2 < 2:
+    if _as_int(n1, "n1") < 2 or _as_int(n2, "n2") < 2:
         raise ValueError("group sizes must be at least 2")
     gen = rng.generator
     d = spec.d
@@ -216,15 +216,16 @@ def run_grid(cells, reps: int, *, alpha: float = 0.05, bootstrap_b: int = 200,
     """Run every cell and tabulate rejection rates.
 
     A cell runs ``cell.reps`` replications, or ``reps`` when it sets none;
-    each count must be positive. Each replication draws fresh data and runs
-    the full private test on its own substream. A failing cell is marked
-    with its error instead of aborting the rest of the grid. A cell's
+    each count must be a positive integer. Each replication draws fresh
+    data and runs the full private test on its own substream. A failing
+    cell is marked with its error instead of aborting the rest of the
+    grid. A cell's
     replications form about 4 * ``n_jobs`` blocks, which run on
     min(n_jobs, blocks, available CPUs) processes; results are identical
     to a serial run.
     """
     cells = list(cells)
-    if n_jobs < 1:
+    if _as_int(n_jobs, "n_jobs") < 1:
         raise ValueError(f"n_jobs must be at least 1, got {n_jobs}")
     # A negative seed fails here, not as an NA in every cell.
     RngStream(master_seed)
@@ -232,7 +233,8 @@ def run_grid(cells, reps: int, *, alpha: float = 0.05, bootstrap_b: int = 200,
     cell_reps = []
     pending = [0] * len(cells)  # blocks of each cell not yet consumed
     for ci, cell in enumerate(cells):
-        r = cell.reps if cell.reps is not None else reps
+        r = _as_int(cell.reps if cell.reps is not None else reps,
+                    f"cell {ci}: reps")
         if r < 1:
             raise ValueError(f"cell {ci}: reps must be positive, got {r}")
         cell_reps.append(r)

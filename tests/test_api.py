@@ -34,8 +34,8 @@ def test_deleted_names_not_exported():
 
 
 def test_deleted_names_gone_from_their_modules():
-    from dphotelling import (decision, errors, mechanisms, numlin, randkit,
-                             simbench)
+    from dphotelling import (cli, decision, errors, mechanisms, numlin,
+                             randkit, simbench)
     assert importlib.util.find_spec("dphotelling.hotelling") is None
     for name in ("REWEIGHTED", "NoiseCorrection", "noise_correction",
                  "PooledCovariance", "CLASSICAL", "PRIVATE_CORRECTED",
@@ -52,6 +52,8 @@ def test_deleted_names_gone_from_their_modules():
     assert not hasattr(simbench, "example32_inflation")
     assert not hasattr(mechanisms, "PrivacyBudget")
     assert not hasattr(numlin, "frobenius_norm")
+    for name in ("_SHAPE", "_receive_array", "_fill"):
+        assert not hasattr(cli, name), name
 
 
 def test_unchecked_sampler_not_exported():

@@ -306,6 +306,21 @@ class TestForkedRead:
         monkeypatch.setattr(decision, "_outcome", spy)
         return seen
 
+    @pytest.fixture
+    def payloads(self, tmp_path, monkeypatch):
+        """Log "shape nbytes" of each payload a child writes; read the lines."""
+        # The spy runs in the child, so it logs to a file.
+        log = tmp_path / "payloads.txt"
+        write = cli._write_array
+
+        def spy(fd, arr):
+            with open(log, "a", encoding="utf-8") as fh:
+                fh.write(f"{arr.shape} {arr.nbytes}\n")
+            write(fd, arr)
+
+        monkeypatch.setattr(cli, "_write_array", spy)
+        return lambda: log.read_text().splitlines() if log.exists() else []
+
     @staticmethod
     def serial(monkeypatch, x, y, *opts, command="test"):
         """``run_pair`` with the helper path made to fail the test."""
@@ -421,6 +436,25 @@ class TestForkedRead:
         else:
             assert str(x) in err
 
+    @pytest.mark.parametrize("y_width", [3, 1], ids=["y-wider", "y-narrower"])
+    def test_column_mismatch_after_the_child_delivers(self, tmp_path,
+                                                      monkeypatch, forks,
+                                                      payloads, y_width):
+        # Unlike the one-row column-mismatch case above, y can be released:
+        # the child sends a whole payload of y's width, and only its length
+        # tells the parent that the widths differ.
+        gen = np.random.default_rng(y_width)
+        x = write_csv(tmp_path / "x.csv", gen.uniform(-1, 1, (5, 2)))
+        y = write_csv(tmp_path / "y.csv", gen.uniform(-1, 1, (4, y_width)))
+        got = run_pair(x, y)
+        assert len(forks) == 1
+        assert_no_child()
+        assert payloads() == [
+            f"{(y_width + 2, y_width)} {8 * y_width * (y_width + 2)}"]
+        assert got == self.reference(monkeypatch, x, y)
+        assert got == (cli.EXIT_USAGE, "", f"error: column mismatch: {x} has "
+                       f"2, {y} has {y_width}\n")
+
     @pytest.mark.parametrize("x_rows, y_text, code, named", [
         ([[0.1, 0.2], [0.3, 1.5]], "0.1,0.2\n0.3,oops\n", cli.EXIT_USAGE, "y"),
         ([[0.1, 0.2], [0.3, 0.4]], "0.1,0.2\n0.3,1.5\n", cli.EXIT_BOUNDS,
@@ -454,26 +488,16 @@ class TestForkedRead:
         assert len(forks) == 1
         assert_no_child()
 
-    def test_payload_size_does_not_depend_on_n(self, tmp_path, forks):
-        # The spy runs in the child and logs each payload to a file.
-        log = tmp_path / "payloads.txt"
-        write = cli._write_array
-
-        def spy(fd, arr):
-            with open(log, "a", encoding="utf-8") as fh:
-                fh.write(f"{arr.shape} {arr.nbytes}\n")
-            write(fd, arr)
-
+    def test_payload_size_does_not_depend_on_n(self, tmp_path, forks,
+                                               payloads):
         gen = np.random.default_rng(2)
         for n in (10, 1000):
             x, y = (write_csv(tmp_path / f"{g}{n}.csv",
                               gen.uniform(-1, 1, (n, 3))) for g in "xy")
-            with pytest.MonkeyPatch.context() as m:
-                m.setattr(cli, "_write_array", spy)
-                assert run_pair(x, y)[0] == 0
+            assert run_pair(x, y)[0] == 0
         assert len(forks) == 2
         assert_no_child()
-        assert log.read_text().splitlines() == ["(5, 3) 120"] * 2
+        assert payloads() == ["(5, 3) 120"] * 2
 
     def test_child_warning_goes_back_to_the_serial_path(self, h0_pair,
                                                         monkeypatch, forks,
@@ -494,17 +518,14 @@ class TestForkedRead:
         assert len(forks) == 1 and len(serial_runs) == 1
         assert_no_child()
 
-    @staticmethod
-    def _write_half(fd, arr):
-        data = cli._SHAPE.pack(*arr.shape) + arr.tobytes()
-        os.write(fd, data[:len(data) // 2])
-
     @pytest.mark.parametrize("failure", [
         lambda fd, arr: os._exit(0),
         lambda fd, arr: os.kill(os.getpid(), signal.SIGKILL),
         lambda fd, arr: os.write(fd, b"\0" * 7),
-        _write_half,
-    ], ids=["exits-before-writing", "killed", "short-header", "short-payload"])
+        lambda fd, arr: os.write(fd, arr.tobytes()[:arr.nbytes // 2]),
+        lambda fd, arr: os.write(fd, arr.tobytes() + b"\0" * 8),
+    ], ids=["exits-before-writing", "killed", "short-header", "short-payload",
+            "long-payload"])
     def test_helper_failure_falls_back_to_serial_read(self, h0_pair,
                                                       monkeypatch, forks,
                                                       call_count, failure):

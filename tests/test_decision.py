@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -10,7 +11,8 @@ from dphotelling.decision import (ASYMPTOTIC, BOOTSTRAP, TestConfig,
                                   decide, quantile_index, release_group,
                                   run_on_summaries, run_test)
 from dphotelling.mechanisms import (PRIVACY_OFF, PrivatizedSummary,
-                                    compute_summary, privatize_summaries)
+                                    budget_part, compute_summary,
+                                    laplace_mean_scale, privatize_summaries)
 from dphotelling.randkit import RngStream, chi2_quantile
 from dphotelling.simbench import DesignSpec, generate
 from oracles import chi2_quantile_oracle
@@ -113,6 +115,37 @@ class TestBootstrapThreshold:
         a = bootstrap_threshold(RngStream(9), ps, cfg, private_whitener(ps))
         b = bootstrap_threshold(RngStream(9), ps, cfg, private_whitener(ps))
         assert a == b
+
+    @pytest.mark.parametrize("eps", [1.0, PRIVACY_OFF])
+    @pytest.mark.parametrize("d", [1, 3, 10])
+    def test_replicates_are_the_statistic_of_resampled_means(self, d, eps):
+        # The vectorized replicate statistics and t_dp_statistic are two
+        # homes of one formula; they round apart in the last bits at d >= 2.
+        spec = DesignSpec("uniform_cube", d, a=0.2)
+        x, y = generate(RngStream(40 + d), spec, 80, 60)
+        ps = privatize_summaries(
+            RngStream(41, d), compute_summary(x, spec.bound_m),
+            compute_summary(y, spec.bound_m), eps)
+        cfg = TestConfig(epsilon=eps, bound_m=spec.bound_m)
+        got = bootstrap_threshold(RngStream(42, d), ps, cfg,
+                                  private_whitener(ps))
+
+        b = cfg.bootstrap_b
+        gen = RngStream(42, d).generator
+        x_star = gen.standard_normal((b, d)) @ numlin.psd_sqrt(
+            ps.cov_x_dp / ps.n1)
+        y_star = gen.standard_normal((b, d)) @ numlin.psd_sqrt(
+            ps.cov_y_dp / ps.n2)
+        part = budget_part(eps)
+        x_star = x_star + gen.laplace(
+            0.0, laplace_mean_scale(ps.n1, ps.bound_m, d, part), size=(b, d))
+        y_star = y_star + gen.laplace(
+            0.0, laplace_mean_scale(ps.n2, ps.bound_m, d, part), size=(b, d))
+        stats = sorted(
+            t_dp_statistic(dataclasses.replace(ps, mean_x_dp=mx, mean_y_dp=my))
+            for mx, my in zip(x_star, y_star))
+        assert got == pytest.approx(stats[quantile_index(cfg.alpha, b) - 1],
+                                    rel=1e-12)
 
     def test_large_sample_approaches_chi2(self):
         # Weak privatization, big groups: the bootstrap quantile lands near

@@ -47,6 +47,17 @@ class TestDesignSpec:
         with pytest.raises(ValueError, match="design"):
             DesignSpec("cauchy", 1)
 
+    @pytest.mark.parametrize("d", [2.5, 3.0, "3"])
+    def test_rejects_non_integer_dimension(self, d):
+        with pytest.raises(ValueError, match="d must be an integer"):
+            DesignSpec("uniform_cube", d)
+
+    def test_numpy_integer_dimension(self):
+        spec = DesignSpec("toeplitz", np.int64(3), a=1.0)
+        assert spec.bound_m == DesignSpec("toeplitz", 3, a=1.0).bound_m
+        assert np.array_equal(spec.toeplitz_matrix(),
+                              DesignSpec("toeplitz", 3).toeplitz_matrix())
+
     def test_toeplitz_matrix_shape(self):
         t = DesignSpec("toeplitz", 4).toeplitz_matrix()
         assert np.array_equal(np.diag(t), np.ones(4))
@@ -112,6 +123,18 @@ class TestGenerate:
         x2, y2 = generate(RngStream(7), spec, 100, 100)
         assert x1.tobytes() == x2.tobytes()
         assert y1.tobytes() == y2.tobytes()
+
+    @pytest.mark.parametrize("n1, n2, name", [(10.0, 10, "n1"),
+                                              (10, 2.5, "n2")])
+    def test_rejects_non_integer_group_size(self, n1, n2, name):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            generate(RngStream(7), DesignSpec("uniform_cube", 2), n1, n2)
+
+    def test_numpy_integer_group_sizes_give_the_same_bytes(self):
+        spec = DesignSpec("uniform_cube", 2)
+        x1, y1 = generate(RngStream(7), spec, np.int64(30), np.int32(20))
+        x2, y2 = generate(RngStream(7), spec, 30, 20)
+        assert x1.tobytes() + y1.tobytes() == x2.tobytes() + y2.tobytes()
 
 
 class TestRunGrid:
@@ -190,6 +213,29 @@ class TestRunGrid:
     def test_n_jobs_below_one_raise(self, n_jobs):
         with pytest.raises(ValueError, match="n_jobs must be at least 1"):
             run_grid(self._small_cells(), 3, n_jobs=n_jobs)
+
+    def test_rejects_non_integer_reps(self):
+        cells = [CellSpec(design=DesignSpec("uniform_cube", 1), eps=1.0,
+                          n=50, kind=ASYMPTOTIC, reps=2.5)]
+        with pytest.raises(ValueError,
+                           match="cell 0: reps must be an integer, got 2.5"):
+            run_grid(cells, 5, master_seed=0)
+        with pytest.raises(ValueError,
+                           match="cell 0: reps must be an integer, got 3.0"):
+            run_grid(self._small_cells(), 3.0, master_seed=0)
+
+    def test_rejects_non_integer_n_jobs(self):
+        with pytest.raises(ValueError,
+                           match="n_jobs must be an integer, got 1.5"):
+            run_grid(self._small_cells(), 3, n_jobs=1.5)
+
+    def test_numpy_integer_counts_give_the_same_table(self):
+        cells = self._small_cells()
+        cells[1] = dataclasses.replace(cells[1], reps=np.int64(4))
+        table = run_grid(cells, np.int32(3), n_jobs=np.int64(1))
+        assert table == run_grid(self._small_cells()[:1] + [
+            dataclasses.replace(cells[1], reps=4)], 3)
+        assert [type(row.reps) for row in table.rows] == [int, int]
 
 
 class TestWorkerCount:

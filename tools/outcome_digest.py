@@ -12,9 +12,9 @@ The digest covers
     epsilon in {0.3, 1, 2, inf}, both threshold rules, clamping on and off;
   - the standard output of ``test --json``, ``test`` and ``calibrate`` on
     two CSV pairs, d = 30 with n = 1000 and d = 10 with n = 1e5;
-  - the exit code and standard error of ``test`` on two fault pairs of
-    1.2 MiB files: x outside the bound with a malformed y, and only y
-    outside the bound;
+  - the exit code and standard error of ``test`` on three fault pairs of
+    files above the fork floor: x outside the bound with a malformed y,
+    only y outside the bound, and a y one column wider than x;
   - the CSV and ``--summary-json`` files of ``simulate --example32
     --reps 20``;
   - ``run_grid`` tables at d = 1 and d = 10, serial and on two processes;
@@ -95,7 +95,12 @@ def cli_outputs(work: Path):
 
 
 def cli_faults(work: Path):
-    """Exit code and stderr of `test` when x, y or both are at fault."""
+    """Exit code and stderr of `test` when x, y or both are at fault.
+
+    Every file is above the fork floor, so the faults meet the two-process
+    path: in the last pair y is released, and only the length of its
+    payload tells the widths apart.
+    """
     gen = np.random.default_rng(5)
     clean, outside = (work / "clean.csv", work / "outside.csv")
     np.savetxt(clean, gen.uniform(-1.0, 1.0, (6000, 10)), fmt="%.17g",
@@ -105,7 +110,10 @@ def cli_faults(work: Path):
     np.savetxt(outside, data, fmt="%.17g", delimiter=",")
     malformed = work / "malformed.csv"
     malformed.write_text(clean.read_text() + "0.1,oops" + ",0.2" * 8 + "\n")
-    for x, y in ((outside, malformed), (clean, outside)):
+    wide = work / "wide.csv"
+    np.savetxt(wide, gen.uniform(-1.0, 1.0, (6000, 11)), fmt="%.17g",
+               delimiter=",")
+    for x, y in ((outside, malformed), (clean, outside), (clean, wide)):
         buf = io.StringIO()
         with contextlib.redirect_stderr(buf):
             code = cli.main(["test", str(x), str(y), "--epsilon", "1",

@@ -14,7 +14,7 @@ from .decision import (ASYMPTOTIC, BOOTSTRAP, TestConfig, TestOutcome,
 from .mechanisms import (PRIVACY_OFF, PrivatizedSummary, SampleSummary,
                          compute_summary, ed_covariance, privatize_mean,
                          privatize_summaries)
-from .randkit import RngStream, chi2_cdf, chi2_quantile
+from .randkit import RngStream, chi2_quantile
 from .simbench import CellSpec, DesignSpec, RejectionTable, generate, run_grid
 
 __version__ = "0.1.0"
@@ -27,7 +27,7 @@ __all__ = [
     "PRIVACY_OFF", "PrivatizedSummary", "SampleSummary",
     "compute_summary", "ed_covariance", "privatize_mean",
     "privatize_summaries",
-    "RngStream", "chi2_cdf", "chi2_quantile",
+    "RngStream", "chi2_quantile",
     "DesignSpec", "CellSpec", "RejectionTable", "generate", "run_grid",
     "__version__",
 ]

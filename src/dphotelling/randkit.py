@@ -1,10 +1,11 @@
 """Seedable randomness, elementary samplers, and chi-squared functions.
 
-Streams are counter-based (Philox keyed through numpy's SeedSequence), so a
-stream is fully determined by ``(seed, stream_id)`` plus an optional
-substream path. That makes parallel Monte Carlo reproducible regardless of
-scheduling: give every replication its own stream id or substream tag and
-the draws never depend on execution order.
+Streams are counter-based (Philox keyed by numpy's SeedSequence key, derived
+one tag at a time and tested against numpy's), so a stream is fully
+determined by ``(seed, stream_id)`` plus an optional substream path. That
+makes parallel Monte Carlo reproducible regardless of scheduling: give every
+replication its own stream id or substream tag and the draws never depend on
+execution order.
 
 The generator is not cryptographically secure; for an actual privacy
 deployment the Laplace and sphere samplers must be re-backed by a CSPRNG.
@@ -12,6 +13,8 @@ deployment the Laplace and sphere samplers must be re-backed by a CSPRNG.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 import operator
 
@@ -29,6 +32,66 @@ def _as_int(value, name: str) -> int:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx). A stream's
+# state is its pool of four 32-bit words, then the running hash constant h.
+_MASK = 0xFFFFFFFF
+_MULT_A, _MIX_L, _MIX_R = 0x931E8875, 0xCA01F9DD, 0x4973F715
+# The hash constants of generate_state, the same for every 4-word key.
+_KEY_H = tuple(0x8B51F9DD * 0x58F38DED ** i & _MASK for i in range(5))
+
+
+def _absorb(state: tuple, n: int) -> tuple:
+    """Mix each 32-bit word w of ``n`` >= 0 (0 is one word) into each pool
+    word as ``mix_entropy`` mixes entropy beyond the pool, v being
+    ``hashmix(w, h)``. Unrolled: each substream tag costs one call."""
+    p0, p1, p2, p3, h = state
+    while True:
+        w = n & _MASK
+        v = (w ^ h) * (h := h * _MULT_A & _MASK) & _MASK
+        r = _MIX_L * p0 - _MIX_R * (v ^ v >> 16) & _MASK
+        p0 = r ^ r >> 16
+        v = (w ^ h) * (h := h * _MULT_A & _MASK) & _MASK
+        r = _MIX_L * p1 - _MIX_R * (v ^ v >> 16) & _MASK
+        p1 = r ^ r >> 16
+        v = (w ^ h) * (h := h * _MULT_A & _MASK) & _MASK
+        r = _MIX_L * p2 - _MIX_R * (v ^ v >> 16) & _MASK
+        p2 = r ^ r >> 16
+        v = (w ^ h) * (h := h * _MULT_A & _MASK) & _MASK
+        r = _MIX_L * p3 - _MIX_R * (v ^ v >> 16) & _MASK
+        p3 = r ^ r >> 16
+        n >>= 32
+        if not n:
+            return p0, p1, p2, p3, h
+
+
+@functools.lru_cache(maxsize=64)
+def _root_state(seed: int, stream_id: int) -> tuple:
+    """The state of ``RngStream(seed, stream_id)``: the seed's words, padded
+    with zeros to the pool as before a spawn key, mixed, then the stream id."""
+    pool, h = [], 0x43B0D7E5
+    for i in range(4):
+        v = ((seed >> 32 * i & _MASK) ^ h) * (h := h * _MULT_A & _MASK) & _MASK
+        pool.append(v ^ v >> 16)
+    for src, dst in itertools.permutations(range(4), 2):  # all to all
+        v = (pool[src] ^ h) * (h := h * _MULT_A & _MASK) & _MASK
+        r = _MIX_L * pool[dst] - _MIX_R * (v ^ v >> 16) & _MASK
+        pool[dst] = r ^ r >> 16
+    state = (*pool, h)
+    if seed >> 128:  # seed words beyond the pool
+        state = _absorb(state, seed >> 128)
+    return _absorb(state, stream_id)
+
+
+class _Key(np.random.bit_generator.ISeedSequence):
+    """Hands Philox a key that is already known."""
+
+    def __init__(self, key: np.ndarray):
+        self.key = key
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.key  # Philox asks for (2, uint64), its whole key
+
+
 class RngStream:
     """One independent random stream, identified by (seed, stream_id).
 
@@ -40,9 +103,9 @@ class RngStream:
     key depends on the identity alone, not on when it is built.
     """
 
-    __slots__ = ("seed", "stream_id", "_path", "_generator")
+    __slots__ = ("seed", "stream_id", "_path", "_state", "_generator")
 
-    def __init__(self, seed: int, stream_id: int = 0, _path: tuple = ()):
+    def __init__(self, seed: int, stream_id: int = 0):
         self.seed = _as_int(seed, "seed")
         self.stream_id = _as_int(stream_id, "stream_id")
         if self.seed < 0:
@@ -50,22 +113,35 @@ class RngStream:
         if self.stream_id < 0:
             raise ValueError(
                 f"stream_id must be a non-negative integer, got {stream_id}")
-        self._path = tuple(map(operator.index, _path))
-        self._generator = None
+        self._path, self._generator = (), None
+        self._state = _root_state(self.seed, self.stream_id)
 
     @property
     def generator(self) -> np.random.Generator:
         gen = self._generator
         if gen is None:
-            ss = np.random.SeedSequence(
-                entropy=self.seed, spawn_key=(self.stream_id, *self._path)
-            )
-            gen = self._generator = np.random.Generator(np.random.Philox(ss))
+            bits = 0  # generate_state(2, np.uint64) of the pool
+            for i in range(4):
+                v = (self._state[i] ^ _KEY_H[i]) * _KEY_H[i + 1] & _MASK
+                bits |= (v ^ v >> 16) << 32 * i
+            key = np.array([bits & (1 << 64) - 1, bits >> 64], np.uint64)
+            gen = self._generator = np.random.Generator(
+                np.random.Philox(_Key(key)))
         return gen
 
     def substream(self, *tags: int) -> "RngStream":
         """Derive an independent stream; deterministic in the tag path."""
-        return RngStream(self.seed, self.stream_id, self._path + tags)
+        child = object.__new__(RngStream)  # the identity is checked already
+        child.seed, child.stream_id, child._generator = (
+            self.seed, self.stream_id, None)
+        child._path, child._state = self._path, self._state
+        for tag in map(operator.index, tags):
+            if tag < 0:
+                raise ValueError(
+                    f"substream tag must be a non-negative integer, got {tag}")
+            child._path += (tag,)
+            child._state = _absorb(child._state, tag)
+        return child
 
     def __repr__(self) -> str:
         return (
@@ -142,14 +218,6 @@ def _check_dof(dof: int) -> int:
     return d
 
 
-def chi2_cdf(x: float, dof: int) -> float:
-    """CDF of the chi-squared distribution with ``dof`` degrees of freedom."""
-    d = _check_dof(dof)
-    if x < 0.0:
-        raise ValueError("chi-squared variate must be nonnegative")
-    return min(1.0, max(0.0, _reg_lower_gamma(0.5 * d, 0.5 * x)))
-
-
 def chi2_quantile(prob: float, dof: int) -> float:
     """Quantile of the chi-squared distribution, by bisection on the CDF.
 
@@ -161,8 +229,8 @@ def chi2_quantile(prob: float, dof: int) -> float:
         raise ValueError(f"probability must lie in (0, 1), got {prob}")
     lo = 0.0
     hi = d + 40.0 * math.sqrt(d) + 40.0
-    # P(d/2, x/2) without chi2_cdf's checks; for prob in (0, 1) "not p >= prob"
-    # is its [0, 1] clamp then "< prob", NaN included.
+    # The CDF P(d/2, x/2); for prob in (0, 1) "not p >= prob" is a [0, 1]
+    # clamp of it then "< prob", NaN included.
     a = 0.5 * d
     if not _reg_lower_gamma(a, 0.5 * hi) >= prob:
         raise NumericalError(f"quantile bracket too small for prob={prob}")

@@ -233,6 +233,8 @@ def run_grid(cells, reps: int, *, alpha: float = 0.05, bootstrap_b: int = 200,
     cell_reps = []
     pending = [0] * len(cells)  # blocks of each cell not yet consumed
     for ci, cell in enumerate(cells):
+        if _as_int(cell.n, f"cell {ci}: n") < 2:
+            raise ValueError(f"cell {ci}: n must be at least 2, got {cell.n}")
         r = _as_int(cell.reps if cell.reps is not None else reps,
                     f"cell {ci}: reps")
         if r < 1:

@@ -159,6 +159,18 @@ def angular_inverse_cdf_samples(concentration: float, n: int) -> np.ndarray:
 # --- reference implementations -----------------------------------------------
 
 
+def chi2_cdf(x: float, dof: int) -> float:
+    """CDF of the chi-squared distribution with ``dof`` degrees of freedom.
+
+    The package's own incomplete gamma, as ``chi2_quantile`` bisects it;
+    no package code calls this CDF, so it lives with the tests.
+    """
+    d = randkit._check_dof(dof)
+    if x < 0.0:
+        raise ValueError("chi-squared variate must be nonnegative")
+    return min(1.0, max(0.0, randkit._reg_lower_gamma(0.5 * d, 0.5 * x)))
+
+
 def sample_bingham_vector_reference(rng, c, eps_step, batches=None):
     """The sphere sampler as it was when it took the matrix C itself.
 

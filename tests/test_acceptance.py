@@ -18,11 +18,11 @@ from dphotelling.mechanisms import (BUDGET_PARTS, PRIVACY_OFF,
                                     compute_summary, ed_covariance,
                                     privatize_summaries)
 from dphotelling.numlin import symmetric_eigen
-from dphotelling.randkit import (RngStream, chi2_cdf, sample_bingham_vector)
+from dphotelling.randkit import RngStream, sample_bingham_vector
 from dphotelling.simbench import (CellSpec, DesignSpec, example32_cells,
                                   generate, run_grid)
-from oracles import (angular_mean_abs_cos, hotelling_t2, ks_statistic_vec,
-                     squared_two_sample_t)
+from oracles import (angular_mean_abs_cos, chi2_cdf, hotelling_t2,
+                     ks_statistic_vec, squared_two_sample_t)
 
 N_JOBS = 2
 

@@ -8,13 +8,14 @@ from pathlib import Path
 
 import dphotelling
 
-# Public names deleted, or (solve_b, sample_laplace) kept in their module but
-# no longer exported, because no pipeline, CLI or bench code used them.
+# Public names deleted, kept in their module but no longer exported
+# (solve_b, sample_laplace), or moved to the tests (chi2_cdf), because no
+# pipeline, CLI or bench code used them.
 DELETED = ("REWEIGHTED", "NoiseCorrection", "noise_correction",
            "quadratic_form", "sample_mvn", "sample_std_normal",
            "PooledCovariance", "pooled_covariance", "t2_statistic",
            "SingularMatrixError", "power_curve", "example32_inflation",
-           "solve_b", "sample_laplace", "PrivacyBudget")
+           "solve_b", "sample_laplace", "PrivacyBudget", "chi2_cdf")
 
 
 def test_every_exported_name_resolves():
@@ -44,6 +45,7 @@ def test_deleted_names_gone_from_their_modules():
     assert not hasattr(numlin, "quadratic_form")
     assert not hasattr(randkit, "sample_mvn")
     assert not hasattr(randkit, "sample_std_normal")
+    assert not hasattr(randkit, "chi2_cdf")
     assert not hasattr(simbench.RejectionTable, "to_csv")
     assert not hasattr(numlin, "_eigen")
     assert not hasattr(randkit, "_sample_bingham")

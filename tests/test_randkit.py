@@ -6,12 +6,12 @@ import pytest
 from dphotelling import randkit
 from dphotelling.errors import ConvergenceError, SamplerStallError
 from dphotelling.numlin import symmetric_eigen
-from dphotelling.randkit import (RngStream, chi2_cdf, chi2_quantile,
+from dphotelling.randkit import (RngStream, chi2_quantile,
                                  sample_bingham_vector, sample_laplace,
                                  solve_b)
 from oracles import (angular_inverse_cdf_samples, angular_mean_abs_cos,
-                     chi2_cdf_oracle, chi2_quantile_oracle, ks_statistic_vec,
-                     ks_two_sample, laplace_cdf)
+                     chi2_cdf, chi2_cdf_oracle, chi2_quantile_oracle,
+                     ks_statistic_vec, ks_two_sample, laplace_cdf)
 
 
 class TestRngStream:
@@ -54,6 +54,48 @@ class TestRngStream:
             RngStream(seed, stream_id)
         with pytest.raises(TypeError):
             RngStream(1).substream(1.5)
+
+    def test_rejects_negative_substream_tag(self):
+        with pytest.raises(ValueError, match="substream tag must be a "
+                           "non-negative integer, got -2"):
+            RngStream(1).substream(3, -2)
+
+    @staticmethod
+    def _keys(rng, seed, stream_id, path):
+        """The stream's Philox key and numpy's for the same identity."""
+        ss = np.random.SeedSequence(entropy=seed, spawn_key=(stream_id, *path))
+        return (rng.generator.bit_generator.state["state"]["key"],
+                np.random.Philox(ss).state["state"]["key"])
+
+    def test_keys_are_numpys_seed_sequence_keys(self):
+        gen = np.random.default_rng(20261019)
+
+        def value():  # below 2**31, or 2**bits more, up to 2**160
+            bits = int(gen.choice([1, 31, 32, 33, 64, 65, 96, 128, 129, 160]))
+            return (int(gen.integers(0, 2)) << bits
+                    | int(gen.integers(0, 2**31)))
+
+        cases = [(0, 0, ()), (0, 0, (0,)), (2**32, 2**64, (2**32 - 1, 2**64)),
+                 (2**64 + 5, 0, (2**96, 0, 1)), (2**130, 3, (7,)),
+                 (np.uint64(2**63), np.int32(4), (np.int64(5), np.uint8(0)))]
+        cases += [(value(), value(), tuple(value() for _ in range(depth)))
+                  for depth in range(6) for _ in range(40)]
+        for seed, stream_id, path in cases:
+            ours, numpys = self._keys(
+                RngStream(seed, stream_id).substream(*path), seed, stream_id,
+                path)
+            assert np.array_equal(ours, numpys), (seed, stream_id, path)
+
+    def test_stepwise_path_is_the_same_stream(self):
+        path = (3, 2**40, 0, 2**70, 9)
+        stepwise = RngStream(11, 2)
+        for tag in path:
+            stepwise = stepwise.substream(tag)
+        split = RngStream(11, 2).substream(*path[:2]).substream(*path[2:])
+        for rng in (stepwise, split, RngStream(11, 2).substream(*path)):
+            assert repr(rng) == repr(stepwise)
+            ours, numpys = self._keys(rng, 11, 2, path)
+            assert np.array_equal(ours, numpys)
 
     def test_numpy_integers_are_the_same_stream(self):
         a = RngStream(np.int64(9), np.uint8(2)).substream(np.int32(3))
@@ -150,7 +192,7 @@ class TestChi2:
 
     def test_quantile_is_the_bisection_on_the_public_cdf(self):
         # The bisection reads the incomplete gamma directly; its steps must
-        # be those of bisecting chi2_cdf, bit for bit.
+        # be those of bisecting oracles.chi2_cdf, bit for bit.
         def reference(prob, d):
             lo, hi = 0.0, d + 40.0 * math.sqrt(d) + 40.0
             for _ in range(200):

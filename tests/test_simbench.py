@@ -168,16 +168,26 @@ class TestRunGrid:
 
     def test_failing_cell_marked_not_fatal(self):
         cells = [
-            CellSpec(design=DesignSpec("uniform_cube", 1), eps=1.0, n=1,
+            CellSpec(design=DesignSpec("uniform_cube", 1), eps=4e-314, n=50,
                      kind=BOOTSTRAP),
             CellSpec(design=DesignSpec("uniform_cube", 1), eps=1.0, n=50,
                      kind=ASYMPTOTIC),
         ]
-        # n=1 breaks the first cell at runtime, not the grid
+        # eps=4e-314 passes the configuration, then its mean release
+        # overflows in the first replication: the cell fails, not the grid.
         table = run_grid(cells, 5, master_seed=0)
         assert table.rows[0].reject_rate is None
-        assert "ValueError" in table.rows[0].error
+        assert "ValueError: mean release" in table.rows[0].error
         assert table.rows[1].reject_rate is not None
+
+    @pytest.mark.parametrize("n, message", [
+        (50.5, "cell 1: n must be an integer, got 50.5"),
+        (1, "cell 1: n must be at least 2, got 1")])
+    def test_rejects_bad_group_size(self, n, message):
+        cells = self._small_cells()
+        cells[1] = dataclasses.replace(cells[1], n=n)
+        with pytest.raises(ValueError, match=message):
+            run_grid(cells, 3, master_seed=0)
 
     def test_invalid_configuration_marks_cell_not_fatal(self):
         # eps = 0 fails when the first cell builds its TestConfig.

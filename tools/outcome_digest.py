@@ -24,7 +24,10 @@ The digest covers
     ``run_grid`` cell;
   - ``t_dp_statistic``, ``private_pooled_covariance``, ``private_whitener``
     and ``bootstrap_threshold`` on ``privatize_summaries`` output at
-    d in {1, 3}, n1 != n2, epsilon in {1, inf}.
+    d in {1, 3}, n1 != n2, epsilon in {1, inf};
+  - the first draws of ``RngStream`` streams whose seed, stream id or
+    substream tags take two to seven 32-bit words (values at and above
+    2**32, 2**64 and 2**128), which the parts above never use.
 
 BLAS runs on one thread unless the environment says otherwise, so that
 matrix products sum in a fixed order.
@@ -185,6 +188,16 @@ def statistic_parts():
                    f"whitener={whitener.tobytes().hex()}")
 
 
+def wide_streams():
+    """First draws of streams whose identity needs more than one 32-bit word."""
+    for seed, stream_id, path in (
+            (2**32, 0, ()), (5, 2**32 + 1, (3,)), (7, 1, (2**32 - 1, 2**32)),
+            (2**64 - 1, 2**64, ()), (1, 2, (2**64 + 3, 0, 2**96)),
+            (2**128 + 9, 4, (2**70,)), (2**160 - 1, 2**128, (2**200, 1))):
+        rng = RngStream(seed, stream_id).substream(*path)
+        yield rng.generator.standard_normal(4).tobytes().hex()
+
+
 def main() -> None:
     imported = Path(dphotelling.__file__).resolve()
     if not imported.is_relative_to(SRC.resolve()):
@@ -195,7 +208,7 @@ def main() -> None:
         for part in (*outcomes(), *cli_outputs(work), *cli_faults(work),
                      *simulate_files(work),
                      *grid_tables(), *grid_cells(), *toeplitz_outputs(),
-                     *statistic_parts()):
+                     *statistic_parts(), *wide_streams()):
             digest.update(part.encode("utf-8") + b"\0")
     print(digest.hexdigest())
 

@@ -1,7 +1,8 @@
 """Seedable randomness, elementary samplers, and chi-squared functions.
 
 Streams are counter-based (Philox keyed by numpy's SeedSequence key, derived
-one tag at a time and tested against numpy's), so a stream is fully
+one tag at a time and tested against numpy's; each 32-bit tag word mixes in
+through a bounded cache), so a stream is fully
 determined by ``(seed, stream_id)`` plus an optional substream path. That
 makes parallel Monte Carlo reproducible regardless of scheduling: give every
 replication its own stream id or substream tag and the draws never depend on
@@ -40,24 +41,32 @@ _MULT_A, _MIX_L, _MIX_R = 0x931E8875, 0xCA01F9DD, 0x4973F715
 _KEY_H = tuple(0x8B51F9DD * 0x58F38DED ** i & _MASK for i in range(5))
 
 
+@functools.lru_cache(maxsize=2048)
+def _hashmix4(w: int, h: int) -> tuple:
+    """The four ``hashmix(w, h)`` that mix the 32-bit word w into the pool,
+    each folded as ``mix_entropy`` folds it, then h after them. h counts
+    the words mixed before w, so a key is a word at a depth: the
+    replication tags of one grid cell repeat in the next and fit."""
+    out = []
+    for _ in range(4):
+        v = (w ^ h) * (h := h * _MULT_A & _MASK) & _MASK
+        out.append(v ^ v >> 16)
+    return (*out, h)
+
+
 def _absorb(state: tuple, n: int) -> tuple:
     """Mix each 32-bit word w of ``n`` >= 0 (0 is one word) into each pool
-    word as ``mix_entropy`` mixes entropy beyond the pool, v being
-    ``hashmix(w, h)``. Unrolled: each substream tag costs one call."""
+    word as ``mix_entropy`` mixes entropy beyond the pool."""
     p0, p1, p2, p3, h = state
     while True:
-        w = n & _MASK
-        v = (w ^ h) * (h := h * _MULT_A & _MASK) & _MASK
-        r = _MIX_L * p0 - _MIX_R * (v ^ v >> 16) & _MASK
+        v0, v1, v2, v3, h = _hashmix4(n & _MASK, h)
+        r = _MIX_L * p0 - _MIX_R * v0 & _MASK
         p0 = r ^ r >> 16
-        v = (w ^ h) * (h := h * _MULT_A & _MASK) & _MASK
-        r = _MIX_L * p1 - _MIX_R * (v ^ v >> 16) & _MASK
+        r = _MIX_L * p1 - _MIX_R * v1 & _MASK
         p1 = r ^ r >> 16
-        v = (w ^ h) * (h := h * _MULT_A & _MASK) & _MASK
-        r = _MIX_L * p2 - _MIX_R * (v ^ v >> 16) & _MASK
+        r = _MIX_L * p2 - _MIX_R * v2 & _MASK
         p2 = r ^ r >> 16
-        v = (w ^ h) * (h := h * _MULT_A & _MASK) & _MASK
-        r = _MIX_L * p3 - _MIX_R * (v ^ v >> 16) & _MASK
+        r = _MIX_L * p3 - _MIX_R * v3 & _MASK
         p3 = r ^ r >> 16
         n >>= 32
         if not n:
@@ -120,11 +129,11 @@ class RngStream:
     def generator(self) -> np.random.Generator:
         gen = self._generator
         if gen is None:
-            bits = 0  # generate_state(2, np.uint64) of the pool
+            k = []  # generate_state(2, np.uint64) of the pool
             for i in range(4):
                 v = (self._state[i] ^ _KEY_H[i]) * _KEY_H[i + 1] & _MASK
-                bits |= (v ^ v >> 16) << 32 * i
-            key = np.array([bits & (1 << 64) - 1, bits >> 64], np.uint64)
+                k.append(v ^ v >> 16)
+            key = np.array([k[0] | k[1] << 32, k[2] | k[3] << 32], np.uint64)
             gen = self._generator = np.random.Generator(
                 np.random.Philox(_Key(key)))
         return gen

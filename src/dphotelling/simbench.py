@@ -163,25 +163,38 @@ def write_table_csv(table: RejectionTable, path) -> None:
 
 
 def read_table_csv(path) -> RejectionTable:
+    """The table ``write_table_csv`` wrote. A missing or wrong header, a row
+    of the wrong width and a bad number raise ValueError naming the path and
+    the line."""
     rows = []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, [])  # [] for an empty file or a blank line
         if tuple(header) != CSV_COLUMNS:
-            raise ValueError(f"unexpected header {header!r}")
+            raise ValueError(f"{path}:1: expected the header "
+                             f"{','.join(CSV_COLUMNS)}, got {header!r}")
         for rec in reader:
+            where = f"{path}:{reader.line_num}"
+            if len(rec) != len(CSV_COLUMNS):
+                raise ValueError(f"{where}: {len(rec)} fields, expected "
+                                 f"{len(CSV_COLUMNS)}")
             design, d, eps, n, a, kind, reps, rate = rec
-            rows.append(CellResult(
-                design=design, d=int(d), eps=float(eps), n=int(n),
-                a=float(a), kind=kind, reps=int(reps),
-                reject_rate=None if rate == "NA" else float(rate),
-            ))
+            try:
+                rows.append(CellResult(
+                    design=design, d=int(d), eps=float(eps), n=int(n),
+                    a=float(a), kind=kind, reps=int(reps),
+                    reject_rate=None if rate == "NA" else float(rate),
+                ))
+            except ValueError as exc:
+                raise ValueError(f"{where}: {exc}") from None
     return RejectionTable(rows=tuple(rows))
 
 
-def _replicate(master_seed: int, cell_index: int, rep: int, cell: CellSpec,
+def _replicate(cell_rng: RngStream, rep: int, cell: CellSpec,
                cfg: TestConfig) -> bool:
-    rng = RngStream(master_seed).substream(cell_index, rep)
+    """One replication on ``cell_rng.substream(rep)``, the stream of
+    ``RngStream(master_seed).substream(cell_index, rep)``."""
+    rng = cell_rng.substream(rep)
     x, y = generate(rng.substream(0), cell.design, cell.n, cell.n)
     return run_test(rng.substream(1), x, y, cfg).reject
 
@@ -195,9 +208,10 @@ def _run_block(args):
             epsilon=cell.eps, bound_m=cell.design.bound_m, alpha=alpha,
             bootstrap_b=bootstrap_b, threshold_kind=cell.kind,
         )
+        cell_rng = RngStream(master_seed).substream(cell_index)
         hits = 0
         for rep in range(rep_lo, rep_hi):
-            if _replicate(master_seed, cell_index, rep, cell, cfg):
+            if _replicate(cell_rng, rep, cell, cfg):
                 hits += 1
         return cell_index, hits, None
     except Exception as exc:  # cell failure must not abort the grid

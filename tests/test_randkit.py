@@ -86,6 +86,18 @@ class TestRngStream:
                 path)
             assert np.array_equal(ours, numpys), (seed, stream_id, path)
 
+    @pytest.mark.parametrize("seed, stream_id", [
+        (0, 0), (3, 1), (2**128 + 5, 0), (9, 2**128 + 5), (2**64, 2**40)])
+    @pytest.mark.parametrize("path", [(7,), (7, 7), (7, 7, 7), (0, 7, 0, 7)])
+    def test_repeated_tag_keys_are_numpys(self, seed, stream_id, path):
+        # One tag mixes in differently at each depth; a seed or stream id of
+        # several words shifts the hash constant every depth starts from.
+        for rng in (RngStream(seed, stream_id).substream(*path),
+                    RngStream(seed, stream_id).substream(*path[:1])
+                    .substream(*path[1:])):
+            ours, numpys = self._keys(rng, seed, stream_id, path)
+            assert np.array_equal(ours, numpys), (seed, stream_id, path)
+
     def test_stepwise_path_is_the_same_stream(self):
         path = (3, 2**40, 0, 2**70, 9)
         stepwise = RngStream(11, 2)

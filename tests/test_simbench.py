@@ -1,13 +1,15 @@
 import concurrent.futures
 import dataclasses
 import math
+import re
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from dphotelling.decision import ASYMPTOTIC, BOOTSTRAP, TestConfig
+from dphotelling.decision import (ASYMPTOTIC, BOOTSTRAP, TestConfig,
+                                  run_test)
 from dphotelling.errors import BoundViolationError
 from dphotelling.randkit import RngStream
 from dphotelling import simbench
@@ -340,6 +342,26 @@ class TestCsvRoundTrip:
         with pytest.raises(ValueError, match="header"):
             read_table_csv(path)
 
+    @pytest.mark.parametrize("rows, line, message", [
+        (None, 1, "expected the header design,d,eps,n,a,kind,reps,"
+                  "reject_rate, got \\[\\]"),
+        ("uniform_cube,1,0.5,100,0.0,bootstrap,20\n", 3,
+         "7 fields, expected 8"),
+        ("uniform_cube,1,0.5,100,0.0,bootstrap,20,0.05,1\n", 3,
+         "9 fields, expected 8"),
+        ("uniform_cube,1,0.5,1e2,0.0,bootstrap,20,0.05\n", 3,
+         "invalid literal for int\\(\\) with base 10: '1e2'"),
+    ], ids=["empty_file", "short_row", "long_row", "bad_number"])
+    def test_bad_file_names_path_and_line(self, tmp_path, rows, line,
+                                          message):
+        path = tmp_path / "t.csv"
+        path.write_text("" if rows is None else
+                        ",".join(simbench.CSV_COLUMNS) + "\n"
+                        "uniform_cube,1,0.5,100,0.0,bootstrap,20,0.05\n" + rows)
+        where = re.escape(str(path))
+        with pytest.raises(ValueError, match=f"^{where}:{line}: {message}$"):
+            read_table_csv(path)
+
 
 class TestGridBuilders:
     def test_table1_shape(self):
@@ -420,5 +442,25 @@ class TestReplicateStreamCount:
         cell = CellSpec(DesignSpec("uniform_cube", 2), eps=1.0, n=40, kind=kind)
         cfg = TestConfig(epsilon=1.0, bound_m=cell.design.bound_m,
                          threshold_kind=kind)
-        simbench._replicate(3, 0, 5, cell, cfg)
+        simbench._replicate(RngStream(3).substream(0), 5, cell, cfg)
         assert len(philox_count) == expected
+
+
+class TestRunBlock:
+    @pytest.mark.parametrize("kind", [BOOTSTRAP, ASYMPTOTIC])
+    def test_block_past_rep_zero_matches_streams_from_the_root(self, kind):
+        # The block derives its cell stream once; each replication must
+        # still draw from RngStream(seed).substream(cell_index, rep).
+        seed, ci, lo, hi = 21, 3, 37, 52
+        cell = CellSpec(DesignSpec("uniform_cube", 1, a=0.4), eps=1.0, n=40,
+                        kind=kind)
+        cfg = TestConfig(epsilon=1.0, bound_m=cell.design.bound_m, alpha=0.3,
+                         bootstrap_b=40, threshold_kind=kind)
+        expected = 0
+        for rep in range(lo, hi):
+            rng = RngStream(seed).substream(ci, rep)
+            x, y = generate(rng.substream(0), cell.design, cell.n, cell.n)
+            expected += run_test(rng.substream(1), x, y, cfg).reject
+        assert 0 < expected < hi - lo
+        assert simbench._run_block((seed, ci, cell, lo, hi, 0.3, 40)) == (
+            ci, expected, None)

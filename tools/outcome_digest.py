@@ -27,7 +27,11 @@ The digest covers
     d in {1, 3}, n1 != n2, epsilon in {1, inf};
   - the first draws of ``RngStream`` streams whose seed, stream id or
     substream tags take two to seven 32-bit words (values at and above
-    2**32, 2**64 and 2**128), which the parts above never use.
+    2**32, 2**64 and 2**128), which the parts above never use;
+  - two d = 1 ``run_grid`` cells of 2500 replications each, more tags
+    than ``randkit``'s tag cache holds, so that the second cell meets
+    tags the first evicted, and a small grid under a master seed above
+    2**128.
 
 BLAS runs on one thread unless the environment says otherwise, so that
 matrix products sum in a fixed order.
@@ -198,6 +202,17 @@ def wide_streams():
         yield rng.generator.standard_normal(4).tobytes().hex()
 
 
+def long_and_wide_grids():
+    """Cells with more replications than the tag cache; a five-word seed."""
+    spec = DesignSpec("uniform_cube", 1)
+    long = [CellSpec(spec, eps=1.0, n=60, kind=kind, reps=2500)
+            for kind in KINDS]
+    yield repr(simbench.run_grid(long, 1, master_seed=17).rows)
+    wide = [CellSpec(DesignSpec("uniform_cube", d), eps=0.5, n=80, kind=kind)
+            for d in (1, 3) for kind in KINDS]
+    yield repr(simbench.run_grid(wide, 12, master_seed=2**128 + 19).rows)
+
+
 def main() -> None:
     imported = Path(dphotelling.__file__).resolve()
     if not imported.is_relative_to(SRC.resolve()):
@@ -208,7 +223,8 @@ def main() -> None:
         for part in (*outcomes(), *cli_outputs(work), *cli_faults(work),
                      *simulate_files(work),
                      *grid_tables(), *grid_cells(), *toeplitz_outputs(),
-                     *statistic_parts(), *wide_streams()):
+                     *statistic_parts(), *wide_streams(),
+                     *long_and_wide_grids()):
             digest.update(part.encode("utf-8") + b"\0")
     print(digest.hexdigest())
 

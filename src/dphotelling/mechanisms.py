@@ -293,7 +293,8 @@ def ed_covariance(rng: randkit.RngStream, s: SampleSummary,
     scaled = up * s.cov
     dec = numlin.symmetric_eigen(scaled)
     lam_hat = dec.eigenvalues
-    psd_tol = 1e-10 * max(1.0, np.linalg.norm(scaled))
+    f = scaled.ravel()
+    psd_tol = 1e-10 * max(1.0, math.sqrt(f.dot(f)))  # np.linalg.norm
     if lam_hat[-1] < -psd_tol:
         raise ValueError(
             f"covariance input is not PSD within round-off: "
@@ -307,9 +308,8 @@ def ed_covariance(rng: randkit.RngStream, s: SampleSummary,
         noise = randkit.sample_laplace(rng, noise_scale, size=d)
         lam_bar = np.abs(lam_hat + noise)
         if d == 1:
-            # No direction to draw. The shared recomposition below gives
-            # the same bytes but costs about 5 us more per release, some
-            # 4% of a d = 1 test.
+            # No direction to draw. The shared recomposition below gives the
+            # same bytes but costs about 5 us more per release.
             return np.array([[unscale * lam_bar[0]]])
         directions = np.empty((d, d))
         p_rows = np.eye(d)
@@ -328,7 +328,7 @@ def ed_covariance(rng: randkit.RngStream, s: SampleSummary,
             # direction.
             v = u.copy()
             v[0] += math.copysign(1.0, u[0])
-            v /= np.linalg.norm(v)
+            v /= math.sqrt(v.dot(v))
             p_rows = (p_rows - 2.0 * np.outer(v, v @ p_rows))[1:]
         # The one remaining basis row fixes the last direction up to a
         # sign, which v v^T ignores, so it costs no draw.

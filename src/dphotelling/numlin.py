@@ -73,20 +73,14 @@ class EigenDecomposition:
     eigenvectors: np.ndarray
 
 
-def symmetric_eigen(a: np.ndarray) -> EigenDecomposition:
-    """Eigendecomposition of a symmetric matrix by LAPACK (``np.linalg.eigh``).
-
-    Eigenvalues are reordered descending by a stable sort, so tied
-    eigenvalues keep the order LAPACK returned them in. A 1x1 input is
-    returned directly. Raises ConvergenceError if LAPACK fails or any
-    output is non-finite (e.g. the input holds NaN or inf).
-    """
+def _spectrum(a: np.ndarray) -> tuple:
+    """(w, V) as ``symmetric_eigen`` gives them, but (float, None) for a 1x1
+    matrix: its own decomposition, so V f(w) V^T is [[f(w)]] as it stands."""
     if a.shape[0] == 1:
-        w = a[0].copy()
-        if not math.isfinite(w[0]):
+        w = float(a[0, 0])
+        if not math.isfinite(w):
             raise ConvergenceError(_NON_FINITE)
-        w.setflags(write=False)
-        return EigenDecomposition(eigenvalues=w, eigenvectors=_UNIT_1X1)
+        return w, None
     try:
         w, v = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:
@@ -96,6 +90,20 @@ def symmetric_eigen(a: np.ndarray) -> EigenDecomposition:
     v = v[:, order]
     if not (np.isfinite(w).all() and np.isfinite(v).all()):
         raise ConvergenceError(_NON_FINITE)
+    return w, v
+
+
+def symmetric_eigen(a: np.ndarray) -> EigenDecomposition:
+    """Eigendecomposition of a symmetric matrix by LAPACK (``np.linalg.eigh``).
+
+    Eigenvalues are reordered descending by a stable sort, so tied
+    eigenvalues keep the order LAPACK returned them in. A 1x1 input is
+    returned directly. Raises ConvergenceError if LAPACK fails or any
+    output is non-finite (e.g. the input holds NaN or inf).
+    """
+    w, v = _spectrum(a)
+    if v is None:
+        w, v = np.array([w]), _UNIT_1X1
     w.setflags(write=False)
     v.setflags(write=False)
     return EigenDecomposition(eigenvalues=w, eigenvectors=v)
@@ -113,23 +121,23 @@ def inverse_sqrt_psd(a: np.ndarray) -> np.ndarray:
     eigenvalues from round-off are tolerated and clamped to the floor; an
     eigenvalue below -1e-10 max(1, ||a||_F) raises ValueError.
     """
-    dec = symmetric_eigen(a)
-    w = dec.eigenvalues
-    tol = 1e-10 * max(1.0, np.linalg.norm(a))
-    if w[-1] < -tol:
+    w, v = _spectrum(a)
+    f = a.ravel()
+    tol = 1e-10 * max(1.0, math.sqrt(f.dot(f)))  # np.linalg.norm(a)
+    if (w_min := w if v is None else w[-1]) < -tol:
         raise ValueError(
-            f"matrix is not PSD within tolerance: min eigenvalue {w[-1]:.3e}"
+            f"matrix is not PSD within tolerance: min eigenvalue {w_min:.3e}"
         )
-    clamped = np.maximum(w, INVERSE_ROOT_FLOOR)
-    v = dec.eigenvectors
-    out = (v * (1.0 / np.sqrt(clamped))) @ v.T
+    if v is None:
+        return np.array([[1.0 / math.sqrt(max(INVERSE_ROOT_FLOOR, w))]])
+    out = (v * (1.0 / np.sqrt(np.maximum(w, INVERSE_ROOT_FLOOR)))) @ v.T
     return 0.5 * (out + out.T)
 
 
 def psd_sqrt(a: np.ndarray) -> np.ndarray:
     """Symmetric PSD square root; negative round-off eigenvalues clamp to 0."""
-    dec = symmetric_eigen(a)
-    w = np.maximum(dec.eigenvalues, 0.0)
-    v = dec.eigenvectors
-    out = (v * np.sqrt(w)) @ v.T
+    w, v = _spectrum(a)
+    if v is None:
+        return np.array([[math.sqrt(max(0.0, w))]])  # -0.0 gives 0.0
+    out = (v * np.sqrt(np.maximum(w, 0.0))) @ v.T
     return 0.5 * (out + out.T)

@@ -114,7 +114,7 @@ def generate(rng: RngStream, spec: DesignSpec, n1: int, n2: int):
             x = x @ t  # t symmetric: rows transform like t @ row
             y = y @ t
     m = spec.bound_m
-    if not (abs(x).max() <= m and abs(y).max() <= m):
+    if not (x.min() >= -m and x.max() <= m and y.min() >= -m and y.max() <= m):
         raise BoundViolationError("generated data left the declared bound")
     return x, y
 
@@ -164,8 +164,9 @@ def write_table_csv(table: RejectionTable, path) -> None:
 
 def read_table_csv(path) -> RejectionTable:
     """The table ``write_table_csv`` wrote. A missing or wrong header, a row
-    of the wrong width and a bad number raise ValueError naming the path and
-    the line."""
+    of the wrong width, a bad number, a design ``DesignSpec`` rejects, another
+    kind, n < 2, reps < 1 or a reject_rate (not NA) outside [0, 1] or NaN
+    raise ValueError naming the path and the line."""
     rows = []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -180,11 +181,21 @@ def read_table_csv(path) -> RejectionTable:
                                  f"{len(CSV_COLUMNS)}")
             design, d, eps, n, a, kind, reps, rate = rec
             try:
-                rows.append(CellResult(
+                row = CellResult(
                     design=design, d=int(d), eps=float(eps), n=int(n),
                     a=float(a), kind=kind, reps=int(reps),
                     reject_rate=None if rate == "NA" else float(rate),
-                ))
+                )
+                DesignSpec(design, row.d, row.a)  # the design and d >= 1
+                if kind not in (BOOTSTRAP, ASYMPTOTIC):
+                    raise ValueError(f"unknown kind {kind!r}")
+                if row.n < 2:
+                    raise ValueError(f"n must be at least 2, got {n}")
+                if row.reps < 1:
+                    raise ValueError(f"reps must be at least 1, got {reps}")
+                if rate != "NA" and not 0.0 <= row.reject_rate <= 1.0:
+                    raise ValueError(f"reject_rate {rate} is not in [0, 1]")
+                rows.append(row)
             except ValueError as exc:
                 raise ValueError(f"{where}: {exc}") from None
     return RejectionTable(rows=tuple(rows))

@@ -12,7 +12,8 @@ import math
 
 import numpy as np
 
-from dphotelling import numlin, randkit
+from dphotelling import decision, numlin, randkit
+from dphotelling.errors import ConvergenceError
 
 
 def simpson(f, a: float, b: float, n: int = 20001) -> float:
@@ -241,3 +242,50 @@ def ed_covariance_reference(rng, s, eps_part, batches=None):
             p_rows = (p_rows - 2.0 * np.outer(v, v @ p_rows))[1:]
     out = (directions * lam_bar) @ directions.T
     return unscale * 0.5 * (out + out.T)
+
+
+def _eigh_descending(a):
+    """LAPACK's eigenpairs for every size, a 1x1 matrix included, in the
+    order and with the checks of ``numlin.symmetric_eigen``."""
+    w, v = np.linalg.eigh(a)
+    order = np.argsort(-w, kind="stable")
+    w, v = w[order], v[:, order]
+    if not (np.isfinite(w).all() and np.isfinite(v).all()):
+        raise ConvergenceError(numlin._NON_FINITE)
+    return w, v
+
+
+def inverse_sqrt_psd_reference(a):
+    """``numlin.inverse_sqrt_psd`` as the general V f(w) V^T formula, with
+    ``np.linalg.norm`` for the tolerance and no 1x1 shortcut."""
+    w, v = _eigh_descending(a)
+    tol = 1e-10 * max(1.0, np.linalg.norm(a))
+    if w[-1] < -tol:
+        raise ValueError(
+            f"matrix is not PSD within tolerance: min eigenvalue {w[-1]:.3e}")
+    clamped = np.maximum(w, numlin.INVERSE_ROOT_FLOOR)
+    out = (v * (1.0 / np.sqrt(clamped))) @ v.T
+    return 0.5 * (out + out.T)
+
+
+def psd_sqrt_reference(a):
+    """``numlin.psd_sqrt`` as the general V f(w) V^T formula."""
+    w, v = _eigh_descending(a)
+    out = (v * np.sqrt(np.maximum(w, 0.0))) @ v.T
+    return 0.5 * (out + out.T)
+
+
+def bootstrap_replicates_reference(rng, ps, cfg, whitener):
+    """The B replicate statistics that ``decision.bootstrap_threshold``
+    draws, in draw order."""
+    b, d = cfg.bootstrap_b, ps.dim
+    root_x = psd_sqrt_reference(ps.cov_x_dp / ps.n1)
+    root_y = psd_sqrt_reference(ps.cov_y_dp / ps.n2)
+    gen = rng.generator
+    x_star = gen.standard_normal((b, d)) @ root_x
+    y_star = gen.standard_normal((b, d)) @ root_y
+    scale_x, scale_y = decision._mean_noise_scales(ps)
+    x_star = x_star + gen.laplace(0.0, scale_x, size=(b, d))
+    y_star = y_star + gen.laplace(0.0, scale_y, size=(b, d))
+    z = (x_star - y_star) @ whitener
+    return (ps.n1 * ps.n2 / (ps.n1 + ps.n2)) * (z * z).sum(axis=1)

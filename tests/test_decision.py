@@ -15,7 +15,7 @@ from dphotelling.mechanisms import (PRIVACY_OFF, PrivatizedSummary,
                                     laplace_mean_scale, privatize_summaries)
 from dphotelling.randkit import RngStream, chi2_quantile
 from dphotelling.simbench import DesignSpec, generate
-from oracles import chi2_quantile_oracle
+from oracles import bootstrap_replicates_reference, chi2_quantile_oracle
 
 
 class TestAsymptoticThreshold:
@@ -160,6 +160,45 @@ class TestBootstrapThreshold:
         q_star = bootstrap_threshold(rng.substream(2), ps, cfg,
                                      private_whitener(ps))
         assert abs(q_star - chi2_quantile(0.95, 1)) <= 0.3
+
+
+class _FewValues:
+    """A stream stand-in whose normal draws are 0 or 1 and whose Laplace
+    draws are 0, so that d coordinates give at most 4**d replicates."""
+
+    def __init__(self, seed):
+        self.generator, self._gen = self, np.random.default_rng(seed)
+
+    def standard_normal(self, size):
+        return self._gen.integers(0, 2, size).astype(float)
+
+    def laplace(self, loc, scale, size):
+        return np.full(size, loc)
+
+
+class TestBootstrapOrderStatistic:
+    """The partitioned threshold is np.sort(stats)[k - 1], ties included."""
+
+    @pytest.mark.parametrize("d", [1, 3])
+    @pytest.mark.parametrize("alpha, b", [(0.05, 200), (0.1, 100),
+                                          (0.5, 21), (0.01, 1000)])
+    @pytest.mark.parametrize("tied", [True, False], ids=["tied", "drawn"])
+    def test_equals_the_sorted_replicates(self, d, alpha, b, tied):
+        spec = DesignSpec("uniform_cube", d, a=0.2)
+        x, y = generate(RngStream(60 + d), spec, 50, 40)
+        ps = privatize_summaries(
+            RngStream(61, d), compute_summary(x, spec.bound_m),
+            compute_summary(y, spec.bound_m), 1.0)
+        cfg = TestConfig(epsilon=1.0, bound_m=spec.bound_m, alpha=alpha,
+                         bootstrap_b=b)
+        stream = _FewValues if tied else RngStream
+        whitener = private_whitener(ps)
+        stats = bootstrap_replicates_reference(stream(b), ps, cfg, whitener)
+        want = np.sort(stats)[quantile_index(alpha, b) - 1]
+        # Tied: the k-th smallest replicate has equals; drawn: none at all.
+        assert (np.count_nonzero(stats == want) > 1) == tied
+        assert (np.unique(stats).size < b) == tied
+        assert bootstrap_threshold(stream(b), ps, cfg, whitener) == want
 
 
 class TestRunTest:

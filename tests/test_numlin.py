@@ -1,9 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from dphotelling import numlin
 from dphotelling.errors import ConvergenceError
 from dphotelling.randkit import RngStream, sample_bingham_vector
+from oracles import inverse_sqrt_psd_reference, psd_sqrt_reference
 
 
 class TestJacobiEigen:
@@ -169,10 +172,16 @@ class TestSignInvariance:
     def test_square_roots(self, monkeypatch, kernel):
         a = self._matrix()
         before = kernel(a).tobytes()
-        eigen = numlin.symmetric_eigen
-        monkeypatch.setattr(numlin, "symmetric_eigen",
-                            lambda m: self._flipped(eigen(m)))
-        assert kernel(a).tobytes() == before
+        spectrum = numlin._spectrum  # the kernels' eigensolver
+
+        def flipped(m):
+            w, v = spectrum(m)
+            return w, v * self.FLIP
+
+        monkeypatch.setattr(numlin, "_spectrum", flipped)
+        after = kernel(a)
+        assert flipped(a)[1].tobytes() != spectrum(a)[1].tobytes()
+        assert after.tobytes() == before
 
     def test_sphere_sampler(self):
         dec = numlin.symmetric_eigen(self._matrix())
@@ -227,3 +236,50 @@ class TestPsdSqrt:
     def test_clamps_tiny_negative(self):
         r = numlin.psd_sqrt(np.diag([1.0, -1e-14]))
         assert r[1, 1] == 0.0
+
+
+def _outcome(kernel, a):
+    """Bytes of kernel(a), or its exception's type and message, and the
+    warnings it gave."""
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        try:
+            out = kernel(np.array(a, dtype=float))
+            result = (out.shape, out.tobytes())
+        except (ValueError, ConvergenceError) as exc:
+            result = (type(exc), str(exc))
+    return result, [(w.category, str(w.message)) for w in seen]
+
+
+# Edge values of a 1x1 input: zero of both signs, below the floor, the
+# smallest subnormal, round-off negatives within the PSD tolerance, values
+# whose square overflows the norm (the -1e200 passes the check because of
+# it), and inputs that fail.
+EDGES_1X1 = [0.0, -0.0, 1e-13, 5e-324, 1e-12, 2.5, -1e-11, -1e-300, 1e200,
+             -1e200, -0.5, -2e-10, np.nan, np.inf, -np.inf]
+EDGES_2X2 = [np.diag([1.0, 0.0]), np.diag([0.0, -0.0]),
+             np.diag([2.0, 1e-13]), np.diag([1.0, -1e-11]),
+             np.array([[1.0, 1.0], [1.0, 1.0]]),
+             np.array([[2.0, 0.5], [0.5, 1e-14]]),
+             np.diag([1e200, 1.0]), np.diag([1.0, -0.5]),
+             np.array([[np.nan, 0.0], [0.0, 1.0]])]
+
+
+class TestRootsMatchTheGeneralFormula:
+    """A 1x1 root is [[f(w)]], with the checks and bytes of V f(w) V^T."""
+
+    @pytest.mark.parametrize("kernel, reference", [
+        (numlin.inverse_sqrt_psd, inverse_sqrt_psd_reference),
+        (numlin.psd_sqrt, psd_sqrt_reference),
+    ], ids=["inverse_sqrt_psd", "psd_sqrt"])
+    @pytest.mark.parametrize("a", [[[w]] for w in EDGES_1X1] + EDGES_2X2,
+                             ids=[f"1x1:{w!r}" for w in EDGES_1X1]
+                             + [f"2x2:{i}" for i in range(len(EDGES_2X2))])
+    def test_bytes_exceptions_and_warnings(self, kernel, reference, a):
+        assert _outcome(kernel, a) == _outcome(reference, a)
+
+    def test_one_by_one_skips_lapack(self, call_count):
+        eighs = call_count(np.linalg, "eigh")
+        numlin.inverse_sqrt_psd(np.array([[3.0]]))
+        numlin.psd_sqrt(np.array([[3.0]]))
+        assert eighs == []

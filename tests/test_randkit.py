@@ -135,6 +135,36 @@ class TestRngStream:
         rng = RngStream(3)
         assert rng.generator is rng.generator
 
+    @staticmethod
+    def _state_fields(gen):
+        state = gen.bit_generator.state
+        return (state["bit_generator"], state["state"]["counter"].tobytes(),
+                state["state"]["key"].tobytes(), state["buffer"].tobytes(),
+                state["buffer_pos"], state["has_uint32"], state["uinteger"])
+
+    @pytest.mark.parametrize("seed, stream_id, path", [
+        (0, 0, ()), (1001, 3, (7, 0)), (2**64 + 1, 2**32, (2**70, 5, 1)),
+        (5, 0, (1, 1, 1, 1))])
+    def test_generator_state_is_numpys(self, seed, stream_id, path):
+        # The whole Philox state, counter, buffer and the 32-bit carry
+        # included, not only the key: first as built, then after draws that
+        # move the counter and leave a buffered word and a half word, and
+        # for a stream built after those draws.
+        def numpys(path):
+            return np.random.Generator(np.random.Philox(
+                np.random.SeedSequence(seed, spawn_key=(stream_id, *path))))
+
+        ours, theirs = (RngStream(seed, stream_id).substream(*path).generator,
+                        numpys(path))
+        assert self._state_fields(ours) == self._state_fields(theirs)
+        for gen in (ours, theirs):
+            gen.standard_normal(5)
+            gen.integers(0, 2**32, size=3, dtype=np.uint32)
+        assert self._state_fields(ours) == self._state_fields(theirs)
+        later = RngStream(seed, stream_id).substream(*path, 9).generator
+        assert self._state_fields(later) == self._state_fields(
+            numpys((*path, 9)))
+
 
 class TestLaplace:
     def test_moments_against_analytic(self):

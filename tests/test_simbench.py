@@ -109,6 +109,35 @@ class TestGenerate:
                            match="generated data left the declared bound"):
             generate(RngStream(5), DesignSpec("uniform_cube", 3), 5000, 5000)
 
+    @pytest.mark.parametrize("m", [1.0, 0.0, np.inf, np.nan])
+    @pytest.mark.parametrize("value", [1.0, -1.0, 1.0 + 2**-52, -1.0 - 2**-52,
+                                       -0.0, np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("group", ["x", "y"])
+    def test_bound_check_is_abs_max(self, monkeypatch, m, value, group):
+        # min and max decide as abs(data).max() <= m did, NaN included.
+        x, y = np.full((3, 2), 0.5), np.full((4, 2), -0.25)
+        (x if group == "x" else y)[1, 0] = value
+        draws = iter((x, y))
+
+        class Fixed:  # a stream whose uniform draws are x, then y
+            @property
+            def generator(self):
+                return self
+
+            def uniform(self, low, high, size):
+                return next(draws)
+
+        rng = Fixed()
+        monkeypatch.setattr(DesignSpec, "bound_m", property(lambda self: m))
+        inside = abs(x).max() <= m and abs(y).max() <= m
+        if inside:
+            generate(rng, DesignSpec("uniform_cube", 2), 3, 4)
+        else:
+            with pytest.raises(BoundViolationError,
+                               match="^generated data left the declared "
+                                     "bound$"):
+                generate(rng, DesignSpec("uniform_cube", 2), 3, 4)
+
     def test_truncated_gaussian_variance_matches_quadrature(self):
         dens = lambda t: np.exp(-2.0 * t * t)
         mass = simpson(dens, -1.0, 1.0)
@@ -351,7 +380,28 @@ class TestCsvRoundTrip:
          "9 fields, expected 8"),
         ("uniform_cube,1,0.5,1e2,0.0,bootstrap,20,0.05\n", 3,
          "invalid literal for int\\(\\) with base 10: '1e2'"),
-    ], ids=["empty_file", "short_row", "long_row", "bad_number"])
+        ("uniform_cub,1,0.5,100,0.0,bootstrap,20,0.05\n", 3,
+         "unknown design 'uniform_cub'"),
+        ("uniform_cube,1,0.5,100,0.0,bootstrapp,20,0.05\n", 3,
+         "unknown kind 'bootstrapp'"),
+        ("uniform_cube,0,0.5,100,0.0,bootstrap,20,0.05\n", 3,
+         "dimension must be >= 1"),
+        ("uniform_cube,1,0.5,1,0.0,bootstrap,20,0.05\n", 3,
+         "n must be at least 2, got 1"),
+        ("uniform_cube,1,0.5,100,0.0,asymptotic,0,NA\n", 3,
+         "reps must be at least 1, got 0"),
+        ("uniform_cube,1,0.5,100,0.0,bootstrap,20,nan\n", 3,
+         "reject_rate nan is not in \\[0, 1\\]"),
+        ("uniform_cube,1,0.5,100,0.0,bootstrap,20,inf\n", 3,
+         "reject_rate inf is not in \\[0, 1\\]"),
+        ("uniform_cube,1,0.5,100,0.0,bootstrap,20,-0.05\n", 3,
+         "reject_rate -0.05 is not in \\[0, 1\\]"),
+        ("uniform_cube,1,0.5,100,0.0,bootstrap,20,1.05\n", 3,
+         "reject_rate 1.05 is not in \\[0, 1\\]"),
+    ], ids=["empty_file", "short_row", "long_row", "bad_number",
+            "unknown_design", "unknown_kind", "d_below_1", "n_below_2",
+            "reps_below_1", "nan_rate", "infinite_rate", "negative_rate",
+            "rate_above_1"])
     def test_bad_file_names_path_and_line(self, tmp_path, rows, line,
                                           message):
         path = tmp_path / "t.csv"
@@ -361,6 +411,14 @@ class TestCsvRoundTrip:
         where = re.escape(str(path))
         with pytest.raises(ValueError, match=f"^{where}:{line}: {message}$"):
             read_table_csv(path)
+
+    def test_extreme_and_missing_rates_are_read(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text(",".join(simbench.CSV_COLUMNS) + "\n" + "".join(
+            f"truncated_gaussian,1,4.0,2,0.0,asymptotic,1,{rate}\n"
+            for rate in ("0.0", "1.0", "NA", "-0.0")))
+        rates = [r.reject_rate for r in read_table_csv(path).rows]
+        assert rates == [0.0, 1.0, None, 0.0]
 
 
 class TestGridBuilders:

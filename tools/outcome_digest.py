@@ -32,6 +32,14 @@ The digest covers
     than ``randkit``'s tag cache holds, so that the second cell meets
     tags the first evicted, and a small grid under a master seed above
     2**128.
+  - ``numlin.inverse_sqrt_psd`` and ``numlin.psd_sqrt`` of 1x1 and 2x2
+    matrices at edge values: zero of both signs, below the inverse-root
+    floor, round-off negatives, entries whose square overflows, and NaN,
+    inf and clearly negative input, whose exception type and message
+    count, as do the warnings of every call;
+  - the full Philox state of a few streams (counter, key, buffer,
+    ``buffer_pos``, ``has_uint32``, ``uinteger``), as built and after
+    draws.
 
 BLAS runs on one thread unless the environment says otherwise, so that
 matrix products sum in a fixed order.
@@ -44,6 +52,7 @@ import math
 import os
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
@@ -57,7 +66,8 @@ import numpy as np  # noqa: E402
 
 import dphotelling  # noqa: E402
 from dphotelling import (PRIVACY_OFF, bootstrap_threshold,  # noqa: E402
-                         cli, compute_summary, private_pooled_covariance,
+                         cli, compute_summary, numlin,
+                         private_pooled_covariance,
                          private_whitener, privatize_summaries, simbench,
                          t_dp_statistic)
 from dphotelling.decision import (ASYMPTOTIC, BOOTSTRAP, TestConfig,  # noqa: E402
@@ -213,6 +223,45 @@ def long_and_wide_grids():
     yield repr(simbench.run_grid(wide, 12, master_seed=2**128 + 19).rows)
 
 
+def root_edges():
+    """Both square roots at edge values: bytes or error, and warnings."""
+    inf, nan = math.inf, math.nan
+    edges = [[[w]] for w in (0.0, -0.0, 1e-13, 5e-324, 1e-12, 2.5, -1e-11,
+                             -1e-300, 1e200, -1e200, -0.5, nan, inf, -inf)]
+    edges += [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, -0.0]],
+              [[2.0, 0.0], [0.0, 1e-13]], [[1.0, 0.0], [0.0, -1e-11]],
+              [[1.0, 1.0], [1.0, 1.0]], [[2.0, 0.5], [0.5, 1e-14]],
+              [[1e200, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, -0.5]],
+              [[nan, 0.0], [0.0, 1.0]]]
+    for a in edges:
+        for kernel in (numlin.inverse_sqrt_psd, numlin.psd_sqrt):
+            with warnings.catch_warnings(record=True) as seen:
+                warnings.simplefilter("always")
+                try:
+                    out = kernel(np.array(a, dtype=float)).tobytes().hex()
+                except Exception as exc:
+                    out = f"{type(exc).__name__}: {exc}"
+            yield (f"{kernel.__name__} {a!r} {out} "
+                   f"{[str(w.message) for w in seen]}")
+
+
+def philox_states():
+    """Every field of the Philox state of a few streams, before and after
+    draws that leave a buffered word and a half word."""
+    for seed, stream_id, path in ((0, 0, ()), (1001, 3, (7, 0)),
+                                  (2**64 + 1, 2**32, (2**70, 5, 1))):
+        gen = RngStream(seed, stream_id).substream(*path).generator
+        for draws in (0, 3):
+            gen.integers(0, 2**32, size=draws, dtype=np.uint32)
+            state = gen.bit_generator.state
+            inner = state["state"]
+            yield (f"{state['bit_generator']} "
+                   f"{inner['counter'].tobytes().hex()} "
+                   f"{inner['key'].tobytes().hex()} "
+                   f"{state['buffer'].tobytes().hex()} {state['buffer_pos']} "
+                   f"{state['has_uint32']} {state['uinteger']}")
+
+
 def main() -> None:
     imported = Path(dphotelling.__file__).resolve()
     if not imported.is_relative_to(SRC.resolve()):
@@ -224,7 +273,8 @@ def main() -> None:
                      *simulate_files(work),
                      *grid_tables(), *grid_cells(), *toeplitz_outputs(),
                      *statistic_parts(), *wide_streams(),
-                     *long_and_wide_grids()):
+                     *long_and_wide_grids(), *root_edges(),
+                     *philox_states()):
             digest.update(part.encode("utf-8") + b"\0")
     print(digest.hexdigest())
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import itertools
 import json
 import math
@@ -250,7 +251,8 @@ def _both_releases(rng, x, cfg, pipe):
     if len(payload) != 8 * d * (d + 2):
         return None
     y = np.frombuffer(payload).reshape(d + 2, d)
-    return x_release, (int(y[0, 0]), y[1], y[2:])
+    # Owned copies, as the serial path's releases are; decide keeps them.
+    return x_release, (int(y[0, 0]), y[1].copy(), y[2:].copy())
 
 
 def _fork_pays_off(x_path, y_path) -> bool:
@@ -405,6 +407,7 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
+@functools.cache  # built once per process: parse_args does not change it
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dphotelling",
@@ -462,8 +465,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except CsvFormatError as exc:

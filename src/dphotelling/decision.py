@@ -30,8 +30,8 @@ import numpy as np
 
 from . import numlin, randkit
 from .mechanisms import (BUDGET_PARTS, PrivatizedSummary, SampleSummary,
-                         _check_bound, budget_part, compute_summary,
-                         laplace_mean_scale, privatize_group,
+                         _check_bound, _released, budget_part,
+                         compute_summary, laplace_mean_scale, privatize_group,
                          privatize_summaries)
 
 ASYMPTOTIC = "asymptotic"
@@ -213,12 +213,11 @@ def release_group(rng: randkit.RngStream, data, cfg: TestConfig,
 
 def decide(rng: randkit.RngStream, x_release: tuple, y_release: tuple,
            cfg: TestConfig) -> TestOutcome:
-    """``run_test(rng, x, y, cfg)`` from the two ``release_group`` outputs."""
+    """``run_test`` from two ``release_group`` outputs, frozen in place."""
     (n1, mean_x_dp, cov_x_dp), (n2, mean_y_dp, cov_y_dp) = x_release, y_release
-    return _outcome(rng, PrivatizedSummary(
-        mean_x_dp=mean_x_dp, mean_y_dp=mean_y_dp, cov_x_dp=cov_x_dp,
-        cov_y_dp=cov_y_dp, epsilon=cfg.epsilon, n1=n1, n2=n2,
-        bound_m=float(cfg.bound_m)), cfg)
+    return _outcome(rng, _released(
+        cfg.epsilon, n1, n2, float(cfg.bound_m), mean_x_dp=mean_x_dp,
+        mean_y_dp=mean_y_dp, cov_x_dp=cov_x_dp, cov_y_dp=cov_y_dp), cfg)
 
 
 def _outcome(rng: randkit.RngStream, ps: PrivatizedSummary,

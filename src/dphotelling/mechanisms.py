@@ -13,12 +13,12 @@ pairs of neighbouring datasets (replace one row, n public).
 degenerates to the identity, so the pipeline can be checked against its
 non-private counterpart.
 
-Inputs are checked where they enter: ``compute_summary`` and
-``SampleSummary`` check the data, n, m (positive and finite), the mean
-bound and the covariance's symmetry; ``PrivatizedSummary`` checks the
-releases, the total epsilon and the metadata. The releases take a
-``SampleSummary`` and check only their scalar budget part and that the
-noise scales it yields neither overflow nor vanish.
+Inputs are checked where they enter: ``compute_summary`` checks the data
+and m, the ``SampleSummary`` and ``PrivatizedSummary`` constructors every
+field. The package's own summaries and releases skip those (``_admitted``)
+for the checks that can still fail and freeze their fresh arrays in place.
+The releases take a ``SampleSummary`` and check only their scalar budget
+part and that the noise scales it yields neither overflow nor vanish.
 """
 
 from __future__ import annotations
@@ -70,12 +70,38 @@ def _check_bound(m: float) -> None:
         raise ValueError(f"bound_m must be positive and finite, got {m}")
 
 
+def _check_finite(name: str, a: np.ndarray) -> None:
+    if not np.isfinite(a).all():
+        raise ValueError(f"{name} has a non-finite entry")
+
+
+def _check_mean(mean: np.ndarray, bound_m: float) -> None:
+    peak = abs(mean).max()
+    if not math.isfinite(peak):
+        raise ValueError("mean has a non-finite entry")
+    if peak > bound_m + _BOUND_SLACK * (1.0 + bound_m):
+        raise BoundViolationError(
+            f"mean coordinate outside [-{bound_m}, {bound_m}]")
+
+
+def _admitted(cls, **fields):
+    """``cls`` without its constructor, for values the package just computed
+    and checked: fresh arrays, frozen in place, not copied."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    for value in fields.values():
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
+    return obj
+
+
 @dataclass(frozen=True)
 class SampleSummary:
     """Per-group sufficient statistics: size, mean, covariance, cube bound.
 
-    The mean and the covariance must be finite, the covariance symmetric,
-    and the bound positive and finite.
+    The constructor checks that the mean and the covariance are finite, the
+    covariance symmetric and the bound positive and finite, and stores
+    read-only copies; ``compute_summary`` skips it.
     """
 
     n: int
@@ -89,18 +115,10 @@ class SampleSummary:
         _check_bound(self.bound_m)
         mean = _frozen(np.asarray(self.mean, dtype=float).reshape(-1))
         cov = _frozen(numlin.as_symmetric(self.cov))
-        if not np.isfinite(cov).all():
-            raise ValueError("cov has a non-finite entry")
+        _check_finite("cov", cov)
         if cov.shape[0] != mean.shape[0]:
             raise ValueError("mean and covariance dimensions disagree")
-        peak = abs(mean).max()
-        if not math.isfinite(peak):
-            raise ValueError("mean has a non-finite entry")
-        slack = _BOUND_SLACK * (1.0 + self.bound_m)
-        if peak > self.bound_m + slack:
-            raise BoundViolationError(
-                f"mean coordinate outside [-{self.bound_m}, {self.bound_m}]"
-            )
+        _check_mean(mean, self.bound_m)
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
 
@@ -113,9 +131,10 @@ class SampleSummary:
 class PrivatizedSummary:
     """The four private releases plus the public metadata that scaled them.
 
-    Every released entry must be finite, the covariances symmetric, and all
-    four of one dimension; the total privacy level epsilon must be
-    positive, the group sizes positive and the bound positive and finite.
+    The constructor checks that every released entry is finite, the
+    covariances symmetric, all four of one dimension, the total privacy
+    level epsilon positive, the group sizes positive and the bound positive
+    and finite, and stores read-only copies; ``_released`` skips it.
     """
 
     mean_x_dp: np.ndarray
@@ -140,8 +159,7 @@ class PrivatizedSummary:
             "cov_y_dp": _frozen(numlin.as_symmetric(self.cov_y_dp)),
         }
         for name, value in releases.items():
-            if not np.isfinite(value).all():
-                raise ValueError(f"{name} has a non-finite entry")
+            _check_finite(name, value)
             object.__setattr__(self, name, value)
         d = self.dim
         shapes = (self.mean_y_dp.shape, self.cov_x_dp.shape, self.cov_y_dp.shape)
@@ -204,8 +222,11 @@ def compute_summary(data, m: float, clamp: bool = False) -> SampleSummary:
         centered = x[start:start + _ROW_BLOCK] - mean
         cov += centered.T @ centered
     cov /= n - 1
+    # Exactly symmetric; a huge m can still overflow it or the mean.
     cov = 0.5 * (cov + cov.T)
-    return SampleSummary(n=n, mean=mean, cov=cov, bound_m=float(m))
+    _check_finite("cov", cov)
+    _check_mean(mean, float(m))
+    return _admitted(SampleSummary, n=n, mean=mean, cov=cov, bound_m=float(m))
 
 
 def privatize_mean(rng: randkit.RngStream, s: SampleSummary,
@@ -217,21 +238,14 @@ def privatize_mean(rng: randkit.RngStream, s: SampleSummary,
     whose scale b underflows to 0, or whose variance 2 b^2 (the pooled
     correction adds it) overflows, raises ValueError.
     """
-    scale = _checked_mean_scale(s, eps_part)
-    if math.isinf(eps_part):
-        return s.mean.copy()
-    return s.mean + randkit.sample_laplace(rng, scale, size=s.dim)
-
-
-def _checked_mean_scale(s: SampleSummary, eps_part: float) -> float:
-    """The Laplace scale of ``privatize_mean``, whose only faults it raises."""
     _check_eps(eps_part, "eps_part")
     scale = laplace_mean_scale(s.n, s.bound_m, s.dim, eps_part)
-    if math.isfinite(eps_part) and not (
-            scale > 0.0 and math.isfinite(2.0 * scale * scale)):
+    if math.isinf(eps_part):
+        return s.mean.copy()
+    if not (scale > 0.0 and math.isfinite(2.0 * scale * scale)):
         raise _noise_fault(f"mean release: Laplace scale b = {scale!r} is "
                            "zero or its variance 2 b^2 overflows", eps_part, s)
-    return scale
+    return s.mean + randkit.sample_laplace(rng, scale, size=s.dim)
 
 
 def ed_covariance(rng: randkit.RngStream, s: SampleSummary,
@@ -355,20 +369,25 @@ def privatize_summaries(rng: randkit.RngStream, sx: SampleSummary,
     """Release both groups' means and covariances at total privacy epsilon.
 
     Exactly four privatized quantities leave this boundary; no raw
-    statistic is carried along. A mean release fails only on its noise
-    scale, so both are checked first: faults keep the order mean_x,
-    mean_y, cov_x, cov_y.
+    statistic is carried along. The releases run in the order mean_x,
+    mean_y, cov_x, cov_y, on substreams 0 to 3, so faults keep that order.
     """
     if sx.dim != sy.dim:
         raise ValueError(f"dimension mismatch: {sx.dim} vs {sy.dim}")
     if sx.bound_m != sy.bound_m:
         raise ValueError("both groups must share the same cube bound m")
-    for s in (sx, sy):
-        _checked_mean_scale(s, budget_part(epsilon))
-    mean_x_dp, cov_x_dp = privatize_group(rng, sx, epsilon, 0)
-    mean_y_dp, cov_y_dp = privatize_group(rng, sy, epsilon, 1)
-    return PrivatizedSummary(
-        mean_x_dp=mean_x_dp, mean_y_dp=mean_y_dp, cov_x_dp=cov_x_dp,
-        cov_y_dp=cov_y_dp, epsilon=epsilon, n1=sx.n, n2=sy.n,
-        bound_m=sx.bound_m,
-    )
+    part = budget_part(epsilon)
+    return _released(
+        epsilon, sx.n, sy.n, sx.bound_m,
+        mean_x_dp=privatize_mean(rng.substream(0), sx, part),
+        mean_y_dp=privatize_mean(rng.substream(1), sy, part),
+        cov_x_dp=ed_covariance(rng.substream(2), sx, part),
+        cov_y_dp=ed_covariance(rng.substream(3), sy, part))
+
+
+def _released(epsilon, n1, n2, bound_m, **releases) -> PrivatizedSummary:
+    """The package's own releases: only their finiteness can still fail."""
+    for name, value in releases.items():
+        _check_finite(name, value)
+    return _admitted(PrivatizedSummary, **releases, epsilon=epsilon, n1=n1,
+                     n2=n2, bound_m=bound_m)

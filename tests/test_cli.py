@@ -957,6 +957,51 @@ class TestCmdSimulate:
         assert a.read_bytes() == b.read_bytes()
 
 
+class TestParserReuse:
+    """``main`` parses with one parser per process, built on first use."""
+
+    @staticmethod
+    def call(argv):
+        """(exit code, stdout, stderr) of ``main(argv)``, usage errors too."""
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:
+                code = ("SystemExit", exc.code)
+        return code, out.getvalue(), err.getvalue()
+
+    def test_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_consecutive_calls_print_what_fresh_calls_print(self, h0_pair,
+                                                            tmp_path):
+        x, y = h0_pair
+        gen = np.random.default_rng(3)
+        wide = write_csv(tmp_path / "wide.csv", gen.uniform(-1.5, 1.5, (60, 2)))
+        opts = ["--epsilon", "1", "--bound-m", "1"]
+        argvs = [
+            ["test", wide, y, *opts, "--clamp"],
+            ["test", wide, y, *opts],                        # exit 3
+            ["test", x, y, *opts, "--json", "--mode", "asymptotic"],
+            ["test", x, y, *opts],
+            ["test", x, y, "--epsilon", "oops", "--bound-m", "1"],  # exit 2
+            ["test", x, y, *opts, "--alpha"],               # usage error
+            ["calibrate", x, y, *opts, "--seed", "4"],
+            ["test", x, y, *opts, "--seed", "4"],
+        ]
+        fresh = []
+        for argv in argvs:
+            cli.build_parser.cache_clear()
+            fresh.append(self.call(argv))
+        cli.build_parser.cache_clear()
+        assert [self.call(argv) for argv in argvs] == fresh
+        codes = [code for code, _, _ in fresh]
+        assert codes == [0, cli.EXIT_BOUNDS, 0, 0, cli.EXIT_USAGE,
+                         ("SystemExit", 2), 0, 0]
+        assert fresh[2][1].startswith("{") and "statistic" in fresh[3][1]
+
+
 class TestScriptedLevel:
     @pytest.mark.slow
     def test_null_rejection_rate_over_many_invocations(self, tmp_path, capsys):

@@ -11,8 +11,9 @@ from dphotelling.decision import (ASYMPTOTIC, BOOTSTRAP, TestConfig,
                                   decide, quantile_index, release_group,
                                   run_on_summaries, run_test)
 from dphotelling.mechanisms import (PRIVACY_OFF, PrivatizedSummary,
-                                    budget_part, compute_summary,
-                                    laplace_mean_scale, privatize_summaries)
+                                    SampleSummary, budget_part,
+                                    compute_summary, laplace_mean_scale,
+                                    privatize_summaries)
 from dphotelling.randkit import RngStream, chi2_quantile
 from dphotelling.simbench import DesignSpec, generate
 from oracles import bootstrap_replicates_reference, chi2_quantile_oracle
@@ -360,8 +361,9 @@ class TestGroupReleases:
 class TestHotPathCalls:
     """Calls one ``run_test`` makes into the linear-algebra kernels.
 
-    Each covariance is checked for symmetry once, where it enters a
-    ``SampleSummary`` or the ``PrivatizedSummary``: 4 checks whatever d.
+    The summaries and releases that ``run_test`` builds are exactly
+    symmetric, so it makes no symmetry check; a hand-built
+    ``SampleSummary`` or ``PrivatizedSummary`` checks each covariance once.
     At d >= 2 each ED release decomposes C, whose decomposition step 0 of
     the direction sampling reuses, and the d - 2 later subspace matrices
     of two or more rows (a 1x1 one needs no LAPACK call). The whitener
@@ -379,11 +381,21 @@ class TestHotPathCalls:
         checks = call_count(numlin, "as_symmetric")
         eighs = call_count(np.linalg, "eigh")
         run_test(RngStream(22, d), x, y, cfg)
-        assert len(checks) == 4
+        assert len(checks) == 0
         if d == 1:
             assert len(eighs) == 0
         else:
             assert len(eighs) == 2 * d + (1 if kind == BOOTSTRAP else -1)
+
+    @pytest.mark.parametrize("d", [1, 2, 30])
+    def test_hand_built_summaries(self, call_count, d):
+        checks = call_count(numlin, "as_symmetric")
+        SampleSummary(n=5, mean=np.zeros(d), cov=np.eye(d), bound_m=1.0)
+        assert len(checks) == 1
+        PrivatizedSummary(mean_x_dp=np.zeros(d), mean_y_dp=np.zeros(d),
+                          cov_x_dp=np.eye(d), cov_y_dp=np.eye(d),
+                          epsilon=1.0, n1=5, n2=6, bound_m=1.0)
+        assert len(checks) == 3
 
 
 class TestStreamCount:

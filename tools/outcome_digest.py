@@ -39,7 +39,17 @@ The digest covers
     count, as do the warnings of every call;
   - the full Philox state of a few streams (counter, key, buffer,
     ``buffer_pos``, ``has_uint32``, ``uinteger``), as built and after
-    draws.
+    draws;
+  - the exception type and message, and the warnings, of construction
+    faults through ``compute_summary``, ``privatize_summaries``,
+    ``run_test`` and ``release_group`` plus ``decide``: bounds whose
+    covariance, mean or release overflows, a mean whose round-off leaves
+    the bound, non-finite and out-of-bound data, bad bounds and epsilons,
+    mismatched dimensions or bounds, and non-finite releases handed to
+    ``decide`` (whose release dimensions the CLI's payload length fixes);
+  - the layout, ownership and write flags of every array those functions,
+    ``generate``, ``private_pooled_covariance`` and ``private_whitener``
+    return, and of the summary ``decide`` tests.
 
 BLAS runs on one thread unless the environment says otherwise, so that
 matrix products sum in a fixed order.
@@ -66,12 +76,13 @@ import numpy as np  # noqa: E402
 
 import dphotelling  # noqa: E402
 from dphotelling import (PRIVACY_OFF, bootstrap_threshold,  # noqa: E402
-                         cli, compute_summary, numlin,
+                         cli, compute_summary, decision, numlin,
                          private_pooled_covariance,
                          private_whitener, privatize_summaries, simbench,
                          t_dp_statistic)
 from dphotelling.decision import (ASYMPTOTIC, BOOTSTRAP, TestConfig,  # noqa: E402
-                                  run_test)
+                                  decide, release_group, run_test)
+from dphotelling.mechanisms import privatize_group  # noqa: E402
 from dphotelling.randkit import RngStream  # noqa: E402
 from dphotelling.simbench import CellSpec, DesignSpec, generate  # noqa: E402
 
@@ -262,6 +273,128 @@ def philox_states():
                    f"{state['has_uint32']} {state['uinteger']}")
 
 
+def _fault(call) -> str:
+    """The result's type, or the exception type and message, and warnings."""
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        try:
+            out = type(call()).__name__
+        except Exception as exc:
+            out = f"{type(exc).__name__}: {exc}"
+    return f"{out} {[str(w.message) for w in seen]}"
+
+
+def _decided(x_release, y_release, cfg):
+    """The ``PrivatizedSummary`` that ``decide`` hands to its outcome."""
+    seen = []
+    outcome = decision._outcome
+    decision._outcome = lambda rng, ps, cfg: seen.append(ps)
+    try:
+        decide(RngStream(1), x_release, y_release, cfg)
+    finally:
+        decision._outcome = outcome
+    return seen[0]
+
+
+def construction_faults():
+    """Faults that summaries and releases meet on the way into the test."""
+    nan, inf = math.nan, math.inf
+    grid = np.linspace(-0.9, 0.9, 24).reshape(8, 3)
+    summary_cases = [
+        (np.array([[1e200, 0.0], [-1e200, 0.5], [0.0, -0.5]]), 1e200, False),
+        (np.full((4, 1), 1.5e308), 1.5e308, False),
+        (np.full((100_000, 2), 2.2), 2.2, False),
+        (np.full((100_000, 2), 4.0), 4.0, False),
+        (np.where(grid > 0.5, nan, grid), 1.0, False),
+        (np.where(grid > 0.5, -inf, grid), 1.0, True),
+        (grid * 2.0, 1.0, False), (grid * 2.0, 1.0, True),
+        (grid, 0.0, False), (grid, -1.0, True), (grid, inf, False),
+        (grid, nan, False), (grid[:1], 1.0, False), (grid[None], 1.0, False),
+    ]
+    for x, m, clamp in summary_cases:
+        yield f"compute_summary {_fault(lambda: compute_summary(x, m, clamp))}"
+    m = 6e153
+    wide = compute_summary(np.array([[m], [-m]]), m)
+    narrow = compute_summary(np.array([[m / 2], [-m / 2]]), m)
+    for sx, sy in ((wide, wide), (narrow, wide), (wide, narrow)):
+        for seed in range(20):
+            yield "privatize_summaries " + _fault(
+                lambda: privatize_summaries(RngStream(seed), sx, sy, 4.0))
+    s2 = compute_summary(grid[:, :2], 1.0)
+    s3 = compute_summary(grid, 1.0)
+    s3m = compute_summary(grid, 2.0)
+    for sx, sy, eps in ((s2, s3, 1.0), (s3, s3m, 1.0), (s3, s3, 0.0),
+                        (s3, s3, -1.0), (s3, s3, nan), (s3, s3, 1e-320),
+                        (s3, s3, 1e-300)):
+        yield "privatize_summaries " + _fault(
+            lambda: privatize_summaries(RngStream(0), sx, sy, eps))
+    tiny = compute_summary(grid * 1e-161, 1e-160, clamp=True)
+    yield "privatize_summaries " + _fault(
+        lambda: privatize_summaries(RngStream(0), tiny, tiny, 1.0))
+    for x, y, bound, clamp in (
+            (grid, grid[:, :2], 1.0, False), (grid * 2.0, grid, 1.0, False),
+            (grid, grid * 2.0, 1.0, True), (grid, np.where(grid > 0, nan, 0),
+                                            1.0, False),
+            (np.array([[1e200], [-1e200]]), grid[:, :1] * 1e200, 1e200,
+             False),
+            (np.array([[m], [-m]]), np.array([[m], [0.0]]), m, False)):
+        cfg = TestConfig(epsilon=4.0, bound_m=bound, clamp=clamp)
+        yield "run_test " + _fault(
+            lambda: run_test(RngStream(5), x, y, cfg))
+    cfg = TestConfig(epsilon=4.0, bound_m=m)
+    for seed in range(20):
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            releases = [release_group(RngStream(seed), data, cfg, group)
+                        for group, data in enumerate(
+                            (np.array([[m], [-m]]), np.array([[m], [0.0]])))]
+        yield (f"decide {[str(w.message) for w in seen]} "
+               f"{_fault(lambda: _decided(*releases, cfg))}")
+    cfg = TestConfig(epsilon=1.0, bound_m=1.0)
+    for mask in range(1, 16):
+        arrays = [np.zeros(2), np.zeros(2), np.eye(2), np.eye(2)]
+        for i, a in enumerate(arrays):
+            if mask >> i & 1:
+                a[-1] = (nan, inf, -inf)[mask % 3]
+        yield "decide " + _fault(lambda: _decided(
+            (10, arrays[0], arrays[2]), (12, arrays[1], arrays[3]), cfg))
+
+
+def _flags(a: np.ndarray) -> str:
+    return " ".join(f"{k}={a.flags[k]}" for k in (
+        "C_CONTIGUOUS", "F_CONTIGUOUS", "OWNDATA", "WRITEABLE"))
+
+
+def array_flags():
+    """Flags of every array the pipeline's functions return."""
+    releases = ("mean_x_dp", "mean_y_dp", "cov_x_dp", "cov_y_dp")
+    for d in (1, 3):
+        spec = DesignSpec("uniform_cube", d, a=0.3)
+        x, y = generate(RngStream(400 + d), spec, 40, 30)
+        yield f"generate {_flags(x)} {_flags(y)}"
+        for eps in (1.0, PRIVACY_OFF):
+            for clamp in (False, True):
+                sx = compute_summary(x, spec.bound_m, clamp)
+                sy = compute_summary(y, spec.bound_m, clamp)
+                yield f"summary {_flags(sx.mean)} {_flags(sx.cov)}"
+                ps = privatize_summaries(RngStream(3), sx, sy, eps)
+                yield "released " + " ".join(
+                    _flags(getattr(ps, name)) for name in releases)
+                yield (f"pool {_flags(private_pooled_covariance(ps))} "
+                       f"whitener {_flags(private_whitener(ps))}")
+                for part in privatize_group(RngStream(3), sx, eps, 0):
+                    yield f"group {_flags(part)}"
+                cfg = TestConfig(epsilon=eps, bound_m=spec.bound_m,
+                                 clamp=clamp)
+                pair = [release_group(RngStream(3), data, cfg, group)
+                        for group, data in enumerate((x, y))]
+                yield "release_group " + " ".join(
+                    _flags(a) for _, *arrays in pair for a in arrays)
+                ps = _decided(*pair, cfg)
+                yield "decided " + " ".join(
+                    _flags(getattr(ps, name)) for name in releases)
+
+
 def main() -> None:
     imported = Path(dphotelling.__file__).resolve()
     if not imported.is_relative_to(SRC.resolve()):
@@ -274,7 +407,8 @@ def main() -> None:
                      *grid_tables(), *grid_cells(), *toeplitz_outputs(),
                      *statistic_parts(), *wide_streams(),
                      *long_and_wide_grids(), *root_edges(),
-                     *philox_states()):
+                     *philox_states(), *construction_faults(),
+                     *array_flags()):
             digest.update(part.encode("utf-8") + b"\0")
     print(digest.hexdigest())
 

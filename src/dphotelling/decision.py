@@ -114,15 +114,22 @@ def private_pooled_covariance(ps: PrivatizedSummary) -> np.ndarray:
     The correction c1 + c2 is added exactly once; c_i = 2 b_i^2 is the
     variance of the Laplace noise of scale b_i that the mean release of
     group i added to each coordinate. It vanishes under the privacy-off
-    sentinel; otherwise the result is positive definite.
+    sentinel; otherwise the result is positive definite. Finite releases
+    can still pool to an overflow, which raises ValueError.
     """
     n1, n2 = ps.n1, ps.n2
     if n1 + n2 < 3:
         raise ValueError("classical pooling needs n1 + n2 >= 3")
     b1, b2 = _mean_noise_scales(ps)
     shift = 2.0 * b1 * b1 + 2.0 * b2 * b2
-    base = ((n1 - 1) * ps.cov_x_dp + (n2 - 1) * ps.cov_y_dp) / (n1 + n2 - 2)
-    return base + shift * np.eye(ps.dim)
+    try:  # an infinite shift times the identity's zeros is invalid
+        with np.errstate(over="raise", invalid="raise"):
+            return ((n1 - 1) * ps.cov_x_dp + (n2 - 1) * ps.cov_y_dp) / (
+                n1 + n2 - 2) + shift * np.eye(ps.dim)
+    except FloatingPointError:
+        raise ValueError(
+            f"private pooled covariance overflows for epsilon={ps.epsilon!r}, "
+            f"bound_m={ps.bound_m!r}, n1={n1}, n2={n2}, d={ps.dim}") from None
 
 
 def private_whitener(ps: PrivatizedSummary) -> np.ndarray:

@@ -18,7 +18,9 @@ and m, the ``SampleSummary`` and ``PrivatizedSummary`` constructors every
 field. The package's own summaries and releases skip those (``_admitted``)
 for the checks that can still fail and freeze their fresh arrays in place.
 The releases take a ``SampleSummary`` and check only their scalar budget
-part and that the noise scales it yields neither overflow nor vanish.
+part and that the noise scales it yields neither overflow nor vanish;
+their two callers check the total epsilon first. The ED release passes
+the eigenpairs (w, V) of ``numlin.symmetric_eigen`` to the sphere sampler.
 """
 
 from __future__ import annotations
@@ -305,8 +307,8 @@ def ed_covariance(rng: randkit.RngStream, s: SampleSummary,
                            f"{noise_scale!r} is zero or not finite",
                            eps_part, s)
     scaled = up * s.cov
-    dec = numlin.symmetric_eigen(scaled)
-    lam_hat = dec.eigenvalues
+    spectrum = numlin.symmetric_eigen(scaled)
+    lam_hat = spectrum[0]
     f = scaled.ravel()
     psd_tol = 1e-10 * max(1.0, math.sqrt(f.dot(f)))  # np.linalg.norm
     if lam_hat[-1] < -psd_tol:
@@ -317,7 +319,7 @@ def ed_covariance(rng: randkit.RngStream, s: SampleSummary,
 
     if not math.isfinite(eps_part):
         lam_bar = np.abs(lam_hat)
-        directions = dec.eigenvectors
+        directions = spectrum[1]
     else:
         noise = randkit.sample_laplace(rng, noise_scale, size=d)
         lam_bar = np.abs(lam_hat + noise)
@@ -327,15 +329,15 @@ def ed_covariance(rng: randkit.RngStream, s: SampleSummary,
             return np.array([[unscale * lam_bar[0]]])
         directions = np.empty((d, d))
         p_rows = np.eye(d)
-        # dec is the decomposition of P C P^T for the current basis P; at
-        # step 0 P = I and P C P^T is C itself.
+        # spectrum is the decomposition of P C P^T for the current basis P;
+        # at step 0 P = I and P C P^T is C itself.
         for i in range(d - 1):
             if i:
                 ctil = p_rows @ scaled @ p_rows.T
                 # Validated once in the summary; only round-off asymmetry
                 # to remove.
-                dec = numlin.symmetric_eigen(0.5 * (ctil + ctil.T))
-            u = randkit.sample_bingham_vector(rng, dec, eps_step)
+                spectrum = numlin.symmetric_eigen(0.5 * (ctil + ctil.T))
+            u = randkit.sample_bingham_vector(rng, spectrum, eps_step)
             directions[:, i] = p_rows.T @ u
             # Householder reflection H = I - 2 v v^T maps u to -sign(u_0)
             # e_1, so rows 1.. of H @ p_rows span the complement of the
@@ -358,6 +360,7 @@ def privatize_group(rng: randkit.RngStream, s: SampleSummary, epsilon: float,
     ``group`` is 0 for x and 1 for y; the substreams are those that
     ``privatize_summaries(rng, ...)`` uses, so the bytes are the same.
     """
+    _check_eps(epsilon)
     part = budget_part(epsilon)
     return (privatize_mean(rng.substream(group), s, part),
             ed_covariance(rng.substream(2 + group), s, part))
@@ -376,6 +379,7 @@ def privatize_summaries(rng: randkit.RngStream, sx: SampleSummary,
         raise ValueError(f"dimension mismatch: {sx.dim} vs {sy.dim}")
     if sx.bound_m != sy.bound_m:
         raise ValueError("both groups must share the same cube bound m")
+    _check_eps(epsilon)
     part = budget_part(epsilon)
     return _released(
         epsilon, sx.n, sy.n, sx.bound_m,

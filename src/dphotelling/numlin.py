@@ -2,11 +2,11 @@
 
 Everything here operates on small dense symmetric matrices (d up to a few
 hundred) represented as plain numpy arrays. All functions are pure and
-deterministic: the eigensolver is LAPACK's symmetric driver behind a fixed
-eigenvalue order, so identical inputs give identical outputs under the same
-numpy/LAPACK build. Eigenvector signs are LAPACK's: every consumer forms
-V f(diag) V^T or squares the coordinates u V, which a column's sign leaves
-bit for bit unchanged.
+deterministic: ``symmetric_eigen``, the one way into the eigensolver, gives
+LAPACK's pair (w, V) in a fixed eigenvalue order, so identical inputs give
+identical outputs under the same numpy/LAPACK build. Eigenvector signs are
+LAPACK's: every consumer forms V f(diag) V^T or squares the coordinates
+u V, which a column's sign leaves bit for bit unchanged.
 
 ``as_symmetric`` is the one symmetry check. The types and functions that
 admit a matrix from outside call it once; the kernels below it take a
@@ -17,7 +17,6 @@ internal to the package and not exported.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,54 +58,29 @@ _UNIT_1X1 = np.ones((1, 1))
 _UNIT_1X1.setflags(write=False)
 
 
-@dataclass(frozen=True)
-class EigenDecomposition:
-    """Spectral decomposition A = V diag(w) V^T.
+def symmetric_eigen(a: np.ndarray) -> tuple:
+    """Eigendecomposition (w, V) of a symmetric matrix: A = V diag(w) V^T.
 
-    ``eigenvalues`` are sorted in non-increasing order; column k of
-    ``eigenvectors`` belongs to eigenvalue k. The order is fixed, because
-    the ED release pairs its eigenvalue noise with eigenvalues by position;
-    the sign of a column is whatever LAPACK returned.
+    LAPACK's ``eigh``, with w reordered descending by a stable sort, so tied
+    eigenvalues keep LAPACK's order; column k of V belongs to w[k], since the
+    ED release pairs its eigenvalue noise with eigenvalues by position. A
+    1x1 input is its own decomposition, ([a00], [[1]]), with no LAPACK call
+    and one shared read-only V. Raises ConvergenceError if LAPACK fails or
+    any output is non-finite (e.g. the input holds NaN or inf).
     """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
-def _spectrum(a: np.ndarray) -> tuple:
-    """(w, V) as ``symmetric_eigen`` gives them, but (float, None) for a 1x1
-    matrix: its own decomposition, so V f(w) V^T is [[f(w)]] as it stands."""
     if a.shape[0] == 1:
-        w = float(a[0, 0])
-        if not math.isfinite(w):
+        if not math.isfinite(w := float(a[0, 0])):
             raise ConvergenceError(_NON_FINITE)
-        return w, None
+        return np.array([w]), _UNIT_1X1
     try:
         w, v = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"symmetric eigensolver failed: {exc}") from exc
     order = np.argsort(-w, kind="stable")
-    w = w[order]
-    v = v[:, order]
+    w, v = w[order], v[:, order]
     if not (np.isfinite(w).all() and np.isfinite(v).all()):
         raise ConvergenceError(_NON_FINITE)
     return w, v
-
-
-def symmetric_eigen(a: np.ndarray) -> EigenDecomposition:
-    """Eigendecomposition of a symmetric matrix by LAPACK (``np.linalg.eigh``).
-
-    Eigenvalues are reordered descending by a stable sort, so tied
-    eigenvalues keep the order LAPACK returned them in. A 1x1 input is
-    returned directly. Raises ConvergenceError if LAPACK fails or any
-    output is non-finite (e.g. the input holds NaN or inf).
-    """
-    w, v = _spectrum(a)
-    if v is None:
-        w, v = np.array([w]), _UNIT_1X1
-    w.setflags(write=False)
-    v.setflags(write=False)
-    return EigenDecomposition(eigenvalues=w, eigenvectors=v)
 
 
 # Eigenvalue floor of inverse_sqrt_psd. Its one input, the private-corrected
@@ -121,23 +95,23 @@ def inverse_sqrt_psd(a: np.ndarray) -> np.ndarray:
     eigenvalues from round-off are tolerated and clamped to the floor; an
     eigenvalue below -1e-10 max(1, ||a||_F) raises ValueError.
     """
-    w, v = _spectrum(a)
+    w, v = symmetric_eigen(a)
     f = a.ravel()
     tol = 1e-10 * max(1.0, math.sqrt(f.dot(f)))  # np.linalg.norm(a)
-    if (w_min := w if v is None else w[-1]) < -tol:
+    if w[-1] < -tol:
         raise ValueError(
-            f"matrix is not PSD within tolerance: min eigenvalue {w_min:.3e}"
+            f"matrix is not PSD within tolerance: min eigenvalue {w[-1]:.3e}"
         )
-    if v is None:
-        return np.array([[1.0 / math.sqrt(max(INVERSE_ROOT_FLOOR, w))]])
+    if v is _UNIT_1X1:  # V f(w) V^T is [[f(w)]]
+        return np.array([[1.0 / math.sqrt(max(INVERSE_ROOT_FLOOR, w[0]))]])
     out = (v * (1.0 / np.sqrt(np.maximum(w, INVERSE_ROOT_FLOOR)))) @ v.T
     return 0.5 * (out + out.T)
 
 
 def psd_sqrt(a: np.ndarray) -> np.ndarray:
     """Symmetric PSD square root; negative round-off eigenvalues clamp to 0."""
-    w, v = _spectrum(a)
-    if v is None:
-        return np.array([[math.sqrt(max(0.0, w))]])  # -0.0 gives 0.0
+    w, v = symmetric_eigen(a)
+    if v is _UNIT_1X1:
+        return np.array([[math.sqrt(max(0.0, w[0]))]])  # -0.0 gives 0.0
     out = (v * np.sqrt(np.maximum(w, 0.0))) @ v.T
     return 0.5 * (out + out.T)

@@ -2,13 +2,13 @@
 
 Streams are counter-based (Philox keyed by numpy's SeedSequence key, derived
 one tag at a time and tested against numpy's; each 32-bit tag word mixes in
-through a bounded cache), so a stream is fully
-determined by ``(seed, stream_id)`` plus an optional substream path. That
-makes parallel Monte Carlo reproducible regardless of scheduling: give every
-replication its own stream id or substream tag and the draws never depend on
-execution order.
+through a bounded cache), so a stream is fully determined by ``(seed,
+stream_id)`` plus an optional substream path. That makes parallel Monte
+Carlo reproducible regardless of scheduling: give every replication its own
+stream id or substream tag and the draws never depend on execution order.
 
-The generator is not cryptographically secure; for an actual privacy
+The sphere sampler takes the eigenpairs (w, V) its caller computed. The
+generator is not cryptographically secure; for an actual privacy
 deployment the Laplace and sphere samplers must be re-backed by a CSPRNG.
 """
 
@@ -21,7 +21,6 @@ import operator
 
 import numpy as np
 
-from . import numlin
 from .errors import ConvergenceError, NumericalError, SamplerStallError
 
 
@@ -318,11 +317,11 @@ def solve_b(lambdas) -> float:
 _MAX_PROPOSALS = 10**6
 
 
-def sample_bingham_vector(rng: RngStream, dec: numlin.EigenDecomposition,
+def sample_bingham_vector(rng: RngStream, spectrum: tuple,
                           eps_step: float) -> np.ndarray:
     """Draw a unit q-vector with density proportional to exp((eps_step/4) u^T C u).
 
-    ``dec`` is the eigendecomposition of the symmetric q-by-q matrix C, as
+    ``spectrum`` is the pair (w, V) of the symmetric q-by-q matrix C, as
     ``numlin.symmetric_eigen`` returns it; the caller that built C also
     decomposes it, so the sampler never sees C itself. The caller,
     ``mechanisms.ed_covariance``, guarantees eps_step > 0; it is not rechecked.
@@ -336,7 +335,7 @@ def sample_bingham_vector(rng: RngStream, dec: numlin.EigenDecomposition,
     numerator over s >= 0, so the ratio is a true probability; it equals 1
     identically when C is isotropic.
     """
-    mu = dec.eigenvalues  # descending
+    mu, v = spectrum  # mu descending
     q = mu.shape[0]
     # Eigenvalues of A in the eigenbasis of C; the largest mu gives 0.
     lam_a = 0.25 * eps_step * (mu[0] - mu)
@@ -344,7 +343,6 @@ def sample_bingham_vector(rng: RngStream, dec: numlin.EigenDecomposition,
     b = solve_b(lam_a)
     log_m = -(q - b) / 2.0 + (q / 2.0) * (math.log(q) - math.log(b))
     omega_diag = 1.0 + 2.0 * lam_a / b
-    v = dec.eigenvectors
     # Proposal factor: Omega^{-1/2} = V diag(omega)^{-1/2} V^T.
     prop_root = (v / np.sqrt(omega_diag)) @ v.T
 

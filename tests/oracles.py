@@ -179,15 +179,13 @@ def sample_bingham_vector_reference(rng, c, eps_step, batches=None):
     ``randkit.sample_bingham_vector``. When ``batches`` is a list, the
     number of proposal batches the draw used is appended to it.
     """
-    dec = numlin.symmetric_eigen(c)
-    mu = dec.eigenvalues
+    mu, v = numlin.symmetric_eigen(c)
     q = mu.shape[0]
     lam_a = 0.25 * eps_step * (mu[0] - mu)
     lam_a[0] = 0.0
     b = randkit.solve_b(lam_a)
     log_m = -(q - b) / 2.0 + (q / 2.0) * (math.log(q) - math.log(b))
     omega_diag = 1.0 + 2.0 * lam_a / b
-    v = dec.eigenvectors
     prop_root = (v / np.sqrt(omega_diag)) @ v.T
     gen = rng.generator
     batch = 32
@@ -221,7 +219,7 @@ def ed_covariance_reference(rng, s, eps_part, batches=None):
     """
     n, m, d = s.n, s.bound_m, s.dim
     scaled = (n / (2.0 * d * m * m)) * s.cov
-    lam_hat = numlin.symmetric_eigen(scaled).eigenvalues
+    lam_hat = numlin.symmetric_eigen(scaled)[0]
     unscale = (2.0 * d * m * m) / n
     eps_step = eps_part / d
     noise = randkit.sample_laplace(rng, 2.0 / eps_step, size=d)

@@ -9,13 +9,17 @@ from pathlib import Path
 import dphotelling
 
 # Public names deleted, kept in their module but no longer exported
-# (solve_b, sample_laplace), or moved to the tests (chi2_cdf), because no
-# pipeline, CLI or bench code used them.
+# (solve_b, sample_laplace, and the pipeline's parts from
+# asymptotic_threshold to chi2_quantile), or moved to the tests (chi2_cdf),
+# because no CLI, bench or library caller needs them at the root.
 DELETED = ("REWEIGHTED", "NoiseCorrection", "noise_correction",
            "quadratic_form", "sample_mvn", "sample_std_normal",
            "PooledCovariance", "pooled_covariance", "t2_statistic",
            "SingularMatrixError", "power_curve", "example32_inflation",
-           "solve_b", "sample_laplace", "PrivacyBudget", "chi2_cdf")
+           "solve_b", "sample_laplace", "PrivacyBudget", "chi2_cdf",
+           "asymptotic_threshold", "bootstrap_threshold",
+           "private_pooled_covariance", "private_whitener", "PRIVACY_OFF",
+           "ed_covariance", "privatize_mean", "chi2_quantile")
 
 
 def test_every_exported_name_resolves():
@@ -54,6 +58,8 @@ def test_deleted_names_gone_from_their_modules():
     assert not hasattr(simbench, "example32_inflation")
     assert not hasattr(mechanisms, "PrivacyBudget")
     assert not hasattr(numlin, "frobenius_norm")
+    assert not hasattr(numlin, "EigenDecomposition")
+    assert not hasattr(numlin, "_spectrum")
     for name in ("_SHAPE", "_receive_array", "_fill"):
         assert not hasattr(cli, name), name
 

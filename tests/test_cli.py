@@ -13,9 +13,9 @@ import warnings
 import numpy as np
 import pytest
 
-from dphotelling import cli, decision, private_whitener, randkit, simbench
+from dphotelling import cli, decision, randkit, simbench
 from dphotelling.decision import (TestConfig, asymptotic_threshold,
-                                  bootstrap_threshold)
+                                  bootstrap_threshold, private_whitener)
 from dphotelling.errors import NumericalError
 from dphotelling.mechanisms import compute_summary, privatize_summaries
 from dphotelling.randkit import chi2_quantile
@@ -759,6 +759,21 @@ class TestCmdTest:
         y = write_csv(tmp_path / "y.csv", [[0.1], [0.2]])
         code = cli.main(["test", x, y, "--epsilon", "1", "--bound-m", "1"])
         assert code == 2
+
+    @pytest.mark.filterwarnings("error")
+    def test_pool_overflow_exit_code(self, tmp_path, capsys):
+        # Every release is finite; their private-corrected pool is not.
+        m = 6e153
+        x = write_csv(tmp_path / "x.csv", [[m], [-m]])
+        y = write_csv(tmp_path / "y.csv", [[m], [0.0]])
+        code = cli.main(["test", x, y, "--epsilon", "4", "--bound-m",
+                         repr(m), "--seed", "5", "--json"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == (
+            "error: private pooled covariance overflows for epsilon=4.0, "
+            "bound_m=6e+153, n1=2, n2=2, d=1\n")
 
 
 class TestConfigurationArguments:

@@ -4,12 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from dphotelling import numlin, private_whitener, t_dp_statistic
+from dphotelling import numlin, t_dp_statistic
 from dphotelling.errors import BoundViolationError
 from dphotelling.decision import (ASYMPTOTIC, BOOTSTRAP, TestConfig,
                                   asymptotic_threshold, bootstrap_threshold,
-                                  decide, quantile_index, release_group,
-                                  run_on_summaries, run_test)
+                                  decide, private_whitener, quantile_index,
+                                  release_group, run_on_summaries, run_test)
 from dphotelling.mechanisms import (PRIVACY_OFF, PrivatizedSummary,
                                     SampleSummary, budget_part,
                                     compute_summary, laplace_mean_scale,

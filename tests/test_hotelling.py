@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from dphotelling import private_pooled_covariance, t_dp_statistic
+from dphotelling import decision, t_dp_statistic
+from dphotelling.decision import (TestConfig, private_pooled_covariance,
+                                  run_test)
 from dphotelling.mechanisms import (PRIVACY_OFF, PrivatizedSummary,
                                     compute_summary, privatize_summaries)
 from dphotelling.numlin import symmetric_eigen
@@ -129,8 +131,36 @@ class TestPrivatePooledCovariance:
             b1 = 2.0 * 1.0 * d / (20 * (eps / 4.0))
             b2 = 2.0 * 1.0 * d / (30 * (eps / 4.0))
             shift = 2.0 * b1 * b1 + 2.0 * b2 * b2
-            w = symmetric_eigen(private_pooled_covariance(ps)).eigenvalues
+            w = symmetric_eigen(private_pooled_covariance(ps))[0]
             assert w[-1] >= shift - 1e-10
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_pool_raises_value_error(self):
+        # Each release is finite, and each mean scale keeps its own 2 b^2
+        # finite, but the pool plus 2 b1^2 + 2 b2^2 overflows.
+        m = 6e153
+        cfg = TestConfig(epsilon=4.0, bound_m=m)
+        with pytest.raises(ValueError) as info:
+            run_test(RngStream(5), np.array([[m], [-m]]),
+                     np.array([[m], [0.0]]), cfg)
+        assert str(info.value) == (
+            "private pooled covariance overflows for epsilon=4.0, "
+            "bound_m=6e+153, n1=2, n2=2, d=1")
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_shift_raises_value_error(self):
+        # b = 2 m d / (n eps/4) = m/2, so 2 b^2 = 1e308 for each group;
+        # their sum overflows on its own, and inf times the identity's
+        # zeros would be NaN.
+        m = 2.0 * math.sqrt(0.5e308)
+        ps = _ps(np.zeros(2), np.zeros(2), np.eye(2), np.eye(2), 8, 8, m=m,
+                 eps=4.0)
+        b1, _ = decision._mean_noise_scales(ps)
+        assert math.isfinite(2.0 * b1 * b1)
+        assert not math.isfinite(4.0 * b1 * b1)
+        with pytest.raises(ValueError, match="private pooled covariance "
+                           r"overflows for epsilon=.*, n1=8, n2=8, d=2$"):
+            private_pooled_covariance(ps)
 
 
 class TestT2Statistic:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dphotelling.errors import BoundViolationError
-from dphotelling import randkit
+from dphotelling import mechanisms, randkit
 from dphotelling.mechanisms import (PRIVACY_OFF, PrivatizedSummary,
                                     SampleSummary, budget_part,
                                     compute_summary, ed_covariance,
@@ -42,6 +42,23 @@ class TestPrivacyBudget:
             with pytest.raises(ValueError, match="must be positive"):
                 privatize_summaries(RngStream(0), s, s, eps)
 
+    @pytest.mark.parametrize("eps", [-1.0, 0.0, math.nan, -math.inf])
+    @pytest.mark.parametrize("release", ["summaries", "group"])
+    def test_bad_total_named_as_passed_before_any_release(
+            self, call_count, eps, release):
+        # The total is reported under its own name and value, not as the
+        # quarter a release would be handed.
+        s = compute_summary(np.linspace(-0.5, 0.5, 10)[:, None], 1.0)
+        means = call_count(mechanisms, "privatize_mean")
+        covs = call_count(mechanisms, "ed_covariance")
+        with pytest.raises(ValueError) as info:
+            if release == "summaries":
+                privatize_summaries(RngStream(0), s, s, eps)
+            else:
+                privatize_group(RngStream(0), s, eps, 1)
+        assert str(info.value) == f"epsilon must be positive, got {eps}"
+        assert means == covs == []
+
 
 class TestComputeSummary:
     def test_identical_rows_zero_covariance(self):
@@ -61,7 +78,7 @@ class TestComputeSummary:
             n = int(gen.integers(2, 20))
             d = int(gen.integers(1, 5))
             s = compute_summary(gen.uniform(-1.0, 1.0, (n, d)), 1.0)
-            w = symmetric_eigen(s.cov).eigenvalues
+            w = symmetric_eigen(s.cov)[0]
             assert w[-1] >= -1e-12
 
     def test_requires_two_rows(self):
@@ -210,7 +227,7 @@ class TestEdCovariance:
                 out = ed_covariance(RngStream(d, i),
                                     _summary(n, 1.5, cov=cov), eps)
                 assert np.array_equal(out, out.T)
-                w = symmetric_eigen(out).eigenvalues
+                w = symmetric_eigen(out)[0]
                 assert w[-1] >= -1e-12 * max(1.0, np.linalg.norm(out))
 
     def test_rejects_indefinite_input(self):
@@ -233,7 +250,7 @@ class TestEdCovariance:
             # The eigenvalue noise is the stream's first draw, of scale
             # 2 / eps_step with eps_step = eps / d.
             unscale = 2.0 * d * m * m / n
-            lam_hat = symmetric_eigen(cov / unscale).eigenvalues
+            lam_hat = symmetric_eigen(cov / unscale)[0]
             noise = RngStream(seed).generator.laplace(
                 0.0, 2.0 * d / eps, size=d)
             folded = np.sort(unscale * np.abs(lam_hat + noise))[::-1]
@@ -249,7 +266,7 @@ class TestEdCovariance:
         unscale = 2.0 * d * m * m / n
         cov = self._random_cov(d, 7)
         s = _summary(n, m, cov=cov)
-        lam_hat = symmetric_eigen(cov / unscale).eigenvalues
+        lam_hat = symmetric_eigen(cov / unscale)[0]
         monkeypatch.setattr(randkit, "sample_laplace",
                             lambda rng, scale, size: 1.0 - lam_hat)
         for seed in range(5):
@@ -265,7 +282,7 @@ class TestEdCovariance:
         s = _summary(1000, 2.0, cov=cov)
         for seed in range(5):
             out = ed_covariance(RngStream(seed), s, 1e6)
-            lead = symmetric_eigen(out).eigenvectors[:, 0]
+            lead = symmetric_eigen(out)[1][:, 0]
             assert abs(lead @ q[:, 0]) >= 0.999
 
     @pytest.mark.parametrize("d", [2, 3, 5, 30])

@@ -49,7 +49,12 @@ The digest covers
     ``decide`` (whose release dimensions the CLI's payload length fixes);
   - the layout, ownership and write flags of every array those functions,
     ``generate``, ``private_pooled_covariance`` and ``private_whitener``
-    return, and of the summary ``decide`` tests.
+    return, and of the summary ``decide`` tests;
+  - ``ed_covariance`` releases (finite epsilon and privacy off) and
+    ``sample_bingham_vector`` draws on 2.5 I_3, diag(4, 4, 1) and
+    diag(1, 3, 1, 3), whose eigenvalues tie exactly. A tied eigenspace
+    enters both symmetrically, so these bytes do not show the order of
+    tied eigenpairs; ``tests/test_numlin.py`` pins that order.
 
 BLAS runs on one thread unless the environment says otherwise, so that
 matrix products sum in a fixed order.
@@ -75,15 +80,16 @@ sys.path.insert(0, str(SRC))
 import numpy as np  # noqa: E402
 
 import dphotelling  # noqa: E402
-from dphotelling import (PRIVACY_OFF, bootstrap_threshold,  # noqa: E402
-                         cli, compute_summary, decision, numlin,
-                         private_pooled_covariance,
-                         private_whitener, privatize_summaries, simbench,
+from dphotelling import (cli, compute_summary, decision,  # noqa: E402
+                         numlin, privatize_summaries, simbench,
                          t_dp_statistic)
-from dphotelling.decision import (ASYMPTOTIC, BOOTSTRAP, TestConfig,  # noqa: E402
-                                  decide, release_group, run_test)
-from dphotelling.mechanisms import privatize_group  # noqa: E402
-from dphotelling.randkit import RngStream  # noqa: E402
+from dphotelling.decision import (ASYMPTOTIC, BOOTSTRAP,  # noqa: E402
+                                  TestConfig, bootstrap_threshold, decide,
+                                  private_pooled_covariance, private_whitener,
+                                  release_group, run_test)
+from dphotelling.mechanisms import (PRIVACY_OFF, SampleSummary,  # noqa: E402
+                                    ed_covariance, privatize_group)
+from dphotelling.randkit import RngStream, sample_bingham_vector  # noqa: E402
 from dphotelling.simbench import CellSpec, DesignSpec, generate  # noqa: E402
 
 KINDS = (BOOTSTRAP, ASYMPTOTIC)
@@ -360,6 +366,25 @@ def construction_faults():
             (10, arrays[0], arrays[2]), (12, arrays[1], arrays[3]), cfg))
 
 
+def tied_spectra():
+    """ED releases and sphere-sampler draws on matrices with exact
+    eigenvalue ties."""
+    for c in (2.5 * np.eye(3), np.diag([4.0, 4.0, 1.0]),
+              np.diag([1.0, 3.0, 1.0, 3.0])):
+        d = c.shape[0]
+        s = SampleSummary(n=50, mean=np.zeros(d), cov=c, bound_m=1.0)
+        for eps_part in (0.5, 4.0, PRIVACY_OFF):
+            for seed in range(3):
+                yield ed_covariance(RngStream(seed, d), s,
+                                    eps_part).tobytes().hex()
+        rng = RngStream(21, d)
+        for eps_step in (0.5, 2.0, 8.0):
+            for _ in range(3):
+                u = sample_bingham_vector(rng, numlin.symmetric_eigen(c),
+                                          eps_step)
+                yield u.tobytes().hex()
+
+
 def _flags(a: np.ndarray) -> str:
     return " ".join(f"{k}={a.flags[k]}" for k in (
         "C_CONTIGUOUS", "F_CONTIGUOUS", "OWNDATA", "WRITEABLE"))
@@ -408,7 +433,7 @@ def main() -> None:
                      *statistic_parts(), *wide_streams(),
                      *long_and_wide_grids(), *root_edges(),
                      *philox_states(), *construction_faults(),
-                     *array_flags()):
+                     *array_flags(), *tied_spectra()):
             digest.update(part.encode("utf-8") + b"\0")
     print(digest.hexdigest())
 

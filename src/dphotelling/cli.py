@@ -468,9 +468,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except CsvFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except BoundViolationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BOUNDS

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import numlin, randkit
 from .mechanisms import (BUDGET_PARTS, PrivatizedSummary, SampleSummary,
-                         _check_bound, _released, budget_part,
+                         _check_bound, _check_eps, _released, budget_part,
                          compute_summary, laplace_mean_scale, privatize_group,
                          privatize_summaries)
 
@@ -61,8 +61,7 @@ class TestConfig:
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
-        if not self.epsilon > 0.0:
-            raise ValueError("epsilon must be positive")
+        _check_eps(self.epsilon)
         _check_bound(self.bound_m)
         if self.threshold_kind not in (ASYMPTOTIC, BOOTSTRAP):
             raise ValueError(f"unknown threshold kind {self.threshold_kind!r}")
@@ -202,8 +201,12 @@ def run_on_summaries(rng: randkit.RngStream, sx: SampleSummary,
     The privacy budget is spent exactly once (inside the privatization,
     which draws from ``rng.substream(1)``); the statistic, the threshold
     (bootstrap draws from ``rng.substream(2)``) and the decision are
-    post-processing of the four releases.
+    post-processing of the four releases. ``cfg.bound_m`` must be the
+    summaries' bound; ``cfg.clamp`` acts only on raw data, so not here.
     """
+    if float(cfg.bound_m) != float(sx.bound_m):
+        raise ValueError(f"TestConfig bound_m={cfg.bound_m!r} differs from "
+                         f"the summaries' bound_m={sx.bound_m!r}")
     return _outcome(rng, privatize_summaries(rng.substream(1), sx, sy,
                                             cfg.epsilon), cfg)
 

@@ -42,11 +42,10 @@ _BOUND_SLACK = 1e-12
 _ROW_BLOCK = 8192
 
 
-def _check_eps(eps: float, name: str = "epsilon") -> float:
-    eps = float(eps)
+def _check_eps(eps: float, name: str = "epsilon") -> None:
+    """A privacy level is a positive number; a numeric string is not one."""
     if not eps > 0.0:
-        raise ValueError(f"{name} must be positive, got {eps}")
-    return eps
+        raise ValueError(f"{name} must be positive, got {float(eps)}")
 
 
 # Names of the four releases, in the order of ``budget_split`` and of
@@ -201,11 +200,11 @@ def compute_summary(data, m: float, clamp: bool = False) -> SampleSummary:
     x = np.asarray(data, dtype=float)
     if x.ndim == 1:
         x = x[:, None]
-    if x.ndim != 2:
+    if x.ndim == 2 and x.shape[0] < 2:
+        raise ValueError("need at least two observations")
+    if x.ndim != 2 or x.shape[1] == 0:
         raise ValueError(f"expected an n-by-d data matrix, got shape {x.shape}")
     n, d = x.shape
-    if n < 2:
-        raise ValueError("need at least two observations")
     _check_bound(m)
     lo, hi = float(x.min()), float(x.max())
     if not (math.isfinite(lo) and math.isfinite(hi)):

@@ -1,11 +1,13 @@
 """Seedable randomness, elementary samplers, and chi-squared functions.
 
-Streams are counter-based (Philox keyed by numpy's SeedSequence key, derived
-one tag at a time and tested against numpy's; each 32-bit tag word mixes in
-through a bounded cache), so a stream is fully determined by ``(seed,
-stream_id)`` plus an optional substream path. That makes parallel Monte
-Carlo reproducible regardless of scheduling: give every replication its own
-stream id or substream tag and the draws never depend on execution order.
+Streams are counter-based: Philox keyed by numpy's SeedSequence key and
+tested against numpy's. numpy mixes the seed into the pool; the stream id
+is the first spawn-key word and each substream tag a further one, each
+32-bit word mixing in through a bounded cache. A stream holds only that
+state, so it is fully determined by ``(seed, stream_id)`` plus an optional
+substream path. That makes parallel Monte Carlo reproducible regardless of
+scheduling: give every replication its own stream id or substream tag and
+the draws never depend on execution order.
 
 The sphere sampler takes the eigenpairs (w, V) its caller computed. The
 generator is not cryptographically secure; for an actual privacy
@@ -15,7 +17,6 @@ deployment the Laplace and sphere samplers must be re-backed by a CSPRNG.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import operator
 
@@ -73,21 +74,13 @@ def _absorb(state: tuple, n: int) -> tuple:
 
 
 @functools.lru_cache(maxsize=64)
-def _root_state(seed: int, stream_id: int) -> tuple:
-    """The state of ``RngStream(seed, stream_id)``: the seed's words, padded
-    with zeros to the pool as before a spawn key, mixed, then the stream id."""
-    pool, h = [], 0x43B0D7E5
-    for i in range(4):
-        v = ((seed >> 32 * i & _MASK) ^ h) * (h := h * _MULT_A & _MASK) & _MASK
-        pool.append(v ^ v >> 16)
-    for src, dst in itertools.permutations(range(4), 2):  # all to all
-        v = (pool[src] ^ h) * (h := h * _MULT_A & _MASK) & _MASK
-        r = _MIX_L * pool[dst] - _MIX_R * (v ^ v >> 16) & _MASK
-        pool[dst] = r ^ r >> 16
-    state = (*pool, h)
-    if seed >> 128:  # seed words beyond the pool
-        state = _absorb(state, seed >> 128)
-    return _absorb(state, stream_id)
+def _seed_state(seed: int) -> tuple:
+    """The state of ``SeedSequence(seed)`` before its spawn key: numpy's
+    pool, then h after the four hashes numpy makes per entropy word (the
+    seed's words, padded with zeros to the pool's four)."""
+    words = max(4, (seed.bit_length() + 31) // 32)
+    h = 0x43B0D7E5 * pow(_MULT_A, 4 * words, 1 << 32) & _MASK
+    return (*map(int, np.random.SeedSequence(seed).pool), h)
 
 
 # Philox's zero counter: converting the integer 0 costs a third of a build.
@@ -108,26 +101,28 @@ class _Key(np.random.bit_generator.ISeedSequence):
 class RngStream:
     """One independent random stream, identified by (seed, stream_id).
 
-    Identical ``(seed, stream_id)`` and substream path reproduce an
-    identical draw sequence; distinct ids or paths give statistically
-    independent streams. A stream is owned by one logical task at a time.
-    The generator is built the first time ``generator`` is read, so a
-    stream that only derives substreams costs no Philox construction; its
-    key depends on the identity alone, not on when it is built.
+    It is numpy's ``SeedSequence(seed, spawn_key=(stream_id, *path))`` for
+    its substream path, and holds only that state: the seed's pool from
+    numpy, with the stream id and the tags mixed in as spawn-key words.
+    Identical identities reproduce an identical draw sequence; distinct ids
+    or paths give statistically independent streams. A stream is owned by
+    one logical task at a time. The generator is built the first time
+    ``generator`` is read, so a stream that only derives substreams costs no
+    Philox construction; its key depends on the identity alone.
     """
 
-    __slots__ = ("seed", "stream_id", "_path", "_state", "_generator")
+    __slots__ = ("_state", "_generator")
 
     def __init__(self, seed: int, stream_id: int = 0):
-        self.seed = _as_int(seed, "seed")
-        self.stream_id = _as_int(stream_id, "stream_id")
-        if self.seed < 0:
+        seed = _as_int(seed, "seed")
+        stream_id = _as_int(stream_id, "stream_id")
+        if seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {seed}")
-        if self.stream_id < 0:
+        if stream_id < 0:
             raise ValueError(
                 f"stream_id must be a non-negative integer, got {stream_id}")
-        self._path, self._generator = (), None
-        self._state = _root_state(self.seed, self.stream_id)
+        self._state = _absorb(_seed_state(seed), stream_id)
+        self._generator = None
 
     @property
     def generator(self) -> np.random.Generator:
@@ -145,23 +140,18 @@ class RngStream:
 
     def substream(self, *tags: int) -> "RngStream":
         """Derive an independent stream; deterministic in the tag path."""
-        child = object.__new__(RngStream)  # the identity is checked already
-        child.seed, child.stream_id, child._generator = (
-            self.seed, self.stream_id, None)
-        child._path, child._state = self._path, self._state
+        state = self._state
         for tag in map(operator.index, tags):
             if tag < 0:
                 raise ValueError(
                     f"substream tag must be a non-negative integer, got {tag}")
-            child._path += (tag,)
-            child._state = _absorb(child._state, tag)
+            state = _absorb(state, tag)
+        child = object.__new__(RngStream)  # the identity is checked already
+        child._state, child._generator = state, None
         return child
 
     def __repr__(self) -> str:
-        return (
-            f"RngStream(seed={self.seed}, stream_id={self.stream_id}, "
-            f"path={self._path})"
-        )
+        return f"RngStream(state={self._state})"
 
 
 def sample_laplace(rng: RngStream, scale: float, size=None):

@@ -84,8 +84,13 @@ class TestTestConfig:
                 TestConfig(epsilon=1.0, bound_m=1.0, alpha=alpha)
 
     def test_rejects_bad_epsilon(self):
-        with pytest.raises(ValueError):
-            TestConfig(epsilon=0.0, bound_m=1.0)
+        # The message names the value, as privatize_summaries reports it.
+        for eps, shown in ((0.0, "0.0"), (-1.0, "-1.0"), (math.nan, "nan")):
+            with pytest.raises(ValueError) as info:
+                TestConfig(epsilon=eps, bound_m=1.0)
+            assert str(info.value) == f"epsilon must be positive, got {shown}"
+        with pytest.raises(TypeError):  # not read as the number 1.0
+            TestConfig(epsilon="1.0", bound_m=1.0)
 
     @pytest.mark.parametrize("bound", [math.inf, -math.inf, math.nan])
     def test_rejects_non_finite_bound(self, bound):
@@ -330,6 +335,19 @@ class TestPipelineEntry:
         assert out.threshold == threshold
         assert out.reject == (statistic > threshold)
         assert run_on_summaries(RngStream(21, d), sx, sy, cfg) == out
+
+    def test_config_bound_must_be_the_summaries_bound(self):
+        # A config bound that differs used to be ignored: bound_m=50 with
+        # clamp=True gave the outcome of bound_m=1.
+        x = np.linspace(-0.9, 0.9, 24).reshape(12, 2)
+        sx, sy = compute_summary(x, 1), compute_summary(x[::-1] * 0.5, 1)
+        same = TestConfig(epsilon=1.0, bound_m=1)  # an int bound is 1.0
+        assert (run_on_summaries(RngStream(4), sx, sy, same)
+                == run_test(RngStream(4), x, x[::-1] * 0.5, same))
+        wide = TestConfig(epsilon=1.0, bound_m=50.0, clamp=True)
+        with pytest.raises(ValueError, match=r"bound_m=50\.0 differs from "
+                           r"the summaries' bound_m=1\.0"):
+            run_on_summaries(RngStream(4), sx, sy, wide)
 
 
 class TestGroupReleases:

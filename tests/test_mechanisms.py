@@ -85,6 +85,15 @@ class TestComputeSummary:
         with pytest.raises(ValueError, match="two"):
             compute_summary(np.array([[0.5]]), 1.0)
 
+    @pytest.mark.parametrize("shape, message", [
+        ((1, 0), "need at least two observations"),
+        ((5, 0), r"n-by-d data matrix, got shape \(5, 0\)"),
+        ((3, 2, 2), r"n-by-d data matrix, got shape \(3, 2, 2\)")])
+    def test_rejects_data_that_is_not_n_by_d(self, shape, message):
+        # Zero columns used to fail inside numpy's min() reduction.
+        with pytest.raises(ValueError, match=message):
+            compute_summary(np.empty(shape), 1.0)
+
     def test_out_of_bounds_raises(self):
         with pytest.raises(BoundViolationError):
             compute_summary(np.array([[0.5], [1.5]]), 1.0)

@@ -50,11 +50,12 @@ The digest covers
   - the layout, ownership and write flags of every array those functions,
     ``generate``, ``private_pooled_covariance`` and ``private_whitener``
     return, and of the summary ``decide`` tests;
-  - ``ed_covariance`` releases (finite epsilon and privacy off) and
-    ``sample_bingham_vector`` draws on 2.5 I_3, diag(4, 4, 1) and
-    diag(1, 3, 1, 3), whose eigenvalues tie exactly. A tied eigenspace
-    enters both symmetrically, so these bytes do not show the order of
-    tied eigenpairs; ``tests/test_numlin.py`` pins that order.
+  - ``numlin.symmetric_eigen``'s own ``(w, V)``, ``ed_covariance``
+    releases (finite epsilon and privacy off) and ``sample_bingham_vector``
+    draws on 2.5 I_3, diag(4, 4, 1) and diag(1, 3, 1, 3), whose eigenvalues
+    tie exactly. A tied eigenspace enters the releases and the draws
+    symmetrically, so only the eigenpairs' bytes show the order of tied
+    eigenpairs.
 
 BLAS runs on one thread unless the environment says otherwise, so that
 matrix products sum in a fixed order.
@@ -367,11 +368,13 @@ def construction_faults():
 
 
 def tied_spectra():
-    """ED releases and sphere-sampler draws on matrices with exact
-    eigenvalue ties."""
+    """Eigenpairs, ED releases and sphere-sampler draws on matrices with
+    exact eigenvalue ties."""
     for c in (2.5 * np.eye(3), np.diag([4.0, 4.0, 1.0]),
               np.diag([1.0, 3.0, 1.0, 3.0])):
         d = c.shape[0]
+        w, v = numlin.symmetric_eigen(c)
+        yield f"{w.tobytes().hex()} {v.tobytes().hex()}"
         s = SampleSummary(n=50, mean=np.zeros(d), cov=c, bound_m=1.0)
         for eps_part in (0.5, 4.0, PRIVACY_OFF):
             for seed in range(3):

@@ -61,6 +61,9 @@ _NONPRIVATE_BANNER = (
 # the floor sits above it, where the fork wins at every d.
 _FORK_MIN_BYTES = 5 * 2**16
 
+# Suffixes on which numpy's loadtxt, given a file name, decompresses.
+_COMPRESSED_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
+
 
 def read_matrix_csv(path) -> np.ndarray:
     """Parse a CSV file of one observation per row into an n-by-d array.
@@ -74,6 +77,15 @@ def read_matrix_csv(path) -> np.ndarray:
     that are not UTF-8 included, raise ``CsvFormatError`` naming the line
     (blank lines counted) and, for a non-finite value or a number numpy does
     not read, the column and the field.
+
+    The first records are read to find the header. Then a regular file is
+    opened again, by its absolute path, and ``np.loadtxt`` skips the lines
+    up to the header and reads the rest in large chunks, not one Python
+    line at a time. Any other input, and a name that ends in ``.gz``,
+    ``.bz2``, ``.xz`` or ``.lzma``, which numpy would decompress, is read
+    on from the first handle line by line: a pipe, such as ``<(command)``
+    gives, cannot be read again from its start. A fault message re-reads
+    the file.
     """
     try:
         with open(path, encoding="utf-8-sig") as fh:
@@ -88,15 +100,23 @@ def read_matrix_csv(path) -> np.ndarray:
 
             records = (row for row in csv.reader(tapped()) if row)
             first = next(records, None)
+            header_lines = 0
             if first is not None and not _is_numeric(first):
+                header_lines = len(ahead)
                 ahead.clear()
                 first = next(records, None)
             if first is None:
                 _raise_csv_fault(path, "no data rows")
+            name = os.path.abspath(os.fsdecode(path))
+            if (stat.S_ISREG(os.fstat(fh.fileno()).st_mode)
+                    and not name.endswith(_COMPRESSED_SUFFIXES)):
+                source, skip = name, header_lines
+            else:
+                source, skip = itertools.chain(ahead, fh), 0
             try:
                 out = np.loadtxt(
-                    itertools.chain(ahead, fh), delimiter=",", quotechar='"',
-                    comments=None, dtype=float, ndmin=2,
+                    source, delimiter=",", quotechar='"', comments=None,
+                    dtype=float, ndmin=2, skiprows=skip, encoding="utf-8-sig",
                 )
             except ValueError as exc:
                 _raise_csv_fault(path, str(exc))

@@ -235,6 +235,37 @@ def _available_cpus() -> int:
             else os.cpu_count() or 1)
 
 
+# OpenBLAS thread setters, by the names numpy's bundled and other builds use.
+_BLAS_THREAD_SETTERS = ("scipy_openblas_set_num_threads64_",
+                        "openblas_set_num_threads64_",
+                        "openblas_set_num_threads")
+
+
+def _one_blas_thread() -> None:
+    """Pool initializer: run this worker's OpenBLAS on one thread.
+
+    Forked workers inherit a BLAS thread pool sized for the whole machine,
+    and on a grid's large cells they fight over the same cores. The setter
+    is looked up, through ``ctypes``, in the OpenBLAS bundled with numpy.
+    With no such library or symbol, or one that cannot be loaded, nothing
+    changes: a raising initializer would break the pool.
+    """
+    import ctypes
+    from pathlib import Path
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for lib in sorted(libs.glob("lib*openblas*.so*")):
+        try:
+            dll = ctypes.CDLL(str(lib))
+        except OSError:
+            continue
+        for name in _BLAS_THREAD_SETTERS:
+            setter = getattr(dll, name, None)
+            if setter is not None:
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                setter(1)
+                return
+
+
 def run_grid(cells, reps: int, *, alpha: float = 0.05, bootstrap_b: int = 200,
              master_seed: int = 0, n_jobs: int = 1,
              progress: bool = False) -> RejectionTable:
@@ -247,7 +278,9 @@ def run_grid(cells, reps: int, *, alpha: float = 0.05, bootstrap_b: int = 200,
     grid. A cell's
     replications form about 4 * ``n_jobs`` blocks, which run on
     min(n_jobs, blocks, available CPUs) processes; results are identical
-    to a serial run.
+    to a serial run. Forked worker processes run numpy's OpenBLAS on one
+    thread each, so that they do not compete for the cores; a serial run
+    keeps the caller's BLAS threads.
     """
     cells = list(cells)
     if _as_int(n_jobs, "n_jobs") < 1:
@@ -297,7 +330,8 @@ def run_grid(cells, reps: int, *, alpha: float = 0.05, bootstrap_b: int = 200,
         # Imported on use: it loads multiprocessing, which a serial grid and
         # the CLI's test and calibrate never need.
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers,
+                                 initializer=_one_blas_thread) as pool:
             consume(pool.map(_run_block, tasks))
 
     rows = []

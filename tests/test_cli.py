@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import gzip
 import io
 import json
 import math
@@ -7,6 +8,7 @@ import os
 import signal
 import subprocess
 import sys
+import threading
 import time
 import warnings
 
@@ -255,6 +257,123 @@ class TestReadMatrixCsv:
     def test_missing_file(self, tmp_path):
         with pytest.raises(cli.CsvFormatError):
             cli.read_matrix_csv(str(tmp_path / "nope.csv"))
+
+
+class _Deadline(Exception):
+    pass
+
+
+@pytest.fixture
+def deadline():
+    """Fail, rather than hang, a test whose read blocks for 20 s."""
+    def expire(signum, frame):
+        raise _Deadline("the read blocked")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(20)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+@contextlib.contextmanager
+def fed_fifo(path, data):
+    """A FIFO at ``path`` that a thread fills with ``data``, as ``<(cmd)``
+    gives: once its head has been read, it cannot be read again."""
+    os.mkfifo(path)
+
+    def feed():
+        try:
+            with open(path, "wb") as fh:
+                fh.write(data)
+        except BrokenPipeError:
+            pass
+
+    feeder = threading.Thread(target=feed, daemon=True)
+    feeder.start()
+    try:
+        yield str(path)
+    finally:
+        if feeder.is_alive():  # no reader came: let the feeder's open return
+            os.close(os.open(path, os.O_RDONLY | os.O_NONBLOCK))
+        feeder.join(10)
+    assert not feeder.is_alive()
+
+
+@pytest.fixture
+def loadtxt_sources(monkeypatch):
+    """(source, skiprows) of each ``np.loadtxt`` call; a file name is
+    recorded as is, any other source as None."""
+    seen = []
+    loadtxt = np.loadtxt
+
+    def spy(source, *args, **kwargs):
+        seen.append((source if isinstance(source, str) else None,
+                     kwargs.get("skiprows", 0)))
+        return loadtxt(source, *args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", spy)
+    return seen
+
+
+_FIFO_TEXT = "u,v,w\n" + "".join(f"{i},{i / 7!r},-{i}e-3\n"
+                                  for i in range(3000))
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs FIFOs")
+class TestReadSource:
+    """A regular file is read by name, in chunks; other inputs line by line."""
+
+    @pytest.mark.parametrize("text, skip", [
+        ("1,2\n3,4\n", 0),
+        ("\n\n1,2\n3,4\n", 0),
+        ("u,v\n1,2\n3,4\n", 1),
+        ("\n\nu,v\n\n1,2\n3,4\n", 3),
+        ('﻿"u\nv",w\n1,2\n3,4\n', 2),
+        ("u,v\r\n\r\n1,2\r\n3,4\r\n", 1),
+    ])
+    def test_regular_file_read_by_name(self, tmp_path, loadtxt_sources,
+                                       text, skip):
+        p = tmp_path / "a.csv"
+        p.write_bytes(text.encode("utf-8"))
+        assert np.array_equal(cli.read_matrix_csv(str(p)),
+                              [[1.0, 2.0], [3.0, 4.0]])
+        assert loadtxt_sources == [(str(p), skip)]
+
+    def test_relative_name_made_absolute(self, tmp_path, monkeypatch,
+                                         loadtxt_sources):
+        # numpy fetches a name that parses as a URL with a scheme and a host.
+        (tmp_path / "s3:" / "bucket").mkdir(parents=True)
+        (tmp_path / "s3:" / "bucket" / "a.csv").write_text("1,2\n")
+        monkeypatch.chdir(tmp_path)
+        assert np.array_equal(cli.read_matrix_csv("s3://bucket/a.csv"),
+                              [[1.0, 2.0]])
+        assert loadtxt_sources == [(str(tmp_path / "s3:/bucket/a.csv"), 0)]
+
+    def test_fifo_read_line_by_line(self, tmp_path, deadline,
+                                    loadtxt_sources):
+        regular = tmp_path / "a.csv"
+        regular.write_text(_FIFO_TEXT)
+        expected = cli.read_matrix_csv(str(regular))
+        with fed_fifo(tmp_path / "fifo", _FIFO_TEXT.encode()) as fifo:
+            assert_same_bytes(cli.read_matrix_csv(fifo), expected)
+        assert loadtxt_sources == [(str(regular), 1), (None, 0)]
+
+    @pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
+    def test_compressed_suffix_read_as_text(self, tmp_path, loadtxt_sources,
+                                            suffix):
+        p = tmp_path / f"a.csv{suffix}"
+        p.write_text("u,v\n1,2\n3,4\n")
+        assert np.array_equal(cli.read_matrix_csv(str(p)),
+                              [[1.0, 2.0], [3.0, 4.0]])
+        assert loadtxt_sources == [(None, 0)]
+
+    def test_compressed_file_is_not_utf8(self, tmp_path):
+        p = tmp_path / "a.csv.gz"
+        p.write_bytes(gzip.compress(b"1,2\n3,4\n"))
+        with pytest.raises(cli.CsvFormatError,
+                           match="a.csv.gz: line 1: not UTF-8 text"):
+            cli.read_matrix_csv(str(p))
 
 
 def assert_no_child():

@@ -1,9 +1,11 @@
 import concurrent.futures
+import ctypes
 import dataclasses
 import math
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -291,7 +293,7 @@ class TestWorkerCount:
         sizes = []
 
         class SerialPool:
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, initializer):
                 sizes.append(max_workers)
 
             def __enter__(self):
@@ -332,6 +334,59 @@ class TestWorkerCount:
         monkeypatch.setattr(simbench, "_available_cpus", lambda: 1)
         run_grid(self._cells(12), 1, n_jobs=4)
         assert pools == []
+
+
+def _openblas(name):
+    """The function ``name`` of the OpenBLAS bundled with numpy, or None."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for lib in sorted(libs.glob("libscipy_openblas64_*.so")):
+        return getattr(ctypes.CDLL(str(lib)), name, None)
+    return None
+
+
+def _report_blas_threads(task):
+    """A ``_run_block`` stand-in whose hits per replication are the BLAS
+    threads of the process that runs it."""
+    _, ci, _, lo, hi, _, _ = task
+    threads = _openblas("scipy_openblas_get_num_threads64_")()
+    return ci, (hi - lo) * threads, None
+
+
+class TestWorkerBlasThreads:
+    """Pool workers run OpenBLAS on one thread; the caller keeps its own."""
+
+    @pytest.fixture
+    def two_caller_threads(self):
+        get = _openblas("scipy_openblas_get_num_threads64_")
+        set_ = _openblas("scipy_openblas_set_num_threads64_")
+        if get is None or set_ is None:
+            pytest.skip("numpy's OpenBLAS thread functions not found")
+        before = get()
+        set_(2)
+        yield get
+        set_(before)
+
+    def test_pool_workers_report_one_thread(self, monkeypatch,
+                                            two_caller_threads):
+        monkeypatch.setattr(simbench, "_available_cpus", lambda: 2)
+        monkeypatch.setattr(simbench, "_run_block", _report_blas_threads)
+        cell = CellSpec(design=DesignSpec("uniform_cube", 1), eps=1.0, n=20,
+                        reps=8)
+        # The rate is the mean thread count over replications.
+        assert run_grid([cell], 1, n_jobs=2).rows[0].reject_rate == 1.0
+        assert two_caller_threads() == 2
+        assert run_grid([cell], 1, n_jobs=1).rows[0].reject_rate == 2.0
+
+    def test_initializer_without_openblas_does_nothing(self, monkeypatch):
+        monkeypatch.setattr(np, "__file__", "/nonexistent/numpy/__init__.py")
+        assert simbench._one_blas_thread() is None
+        monkeypatch.undo()
+
+        def refuse(name):
+            raise OSError(f"cannot load {name}")
+
+        monkeypatch.setattr(ctypes, "CDLL", refuse)
+        assert simbench._one_blas_thread() is None
 
 
 def test_importing_the_cli_loads_no_process_pool():

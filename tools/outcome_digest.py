@@ -15,6 +15,11 @@ The digest covers
   - the exit code and standard error of ``test`` on three fault pairs of
     files above the fork floor: x outside the bound with a malformed y,
     only y outside the bound, and a y one column wider than x;
+  - ``read_matrix_csv``'s array bytes, or its exception type and message,
+    on a header after blank lines with ``1_0`` further down, a byte-order
+    mark before a quoted header that spans two lines, CRLF line ends, a
+    byte that is not UTF-8 past the first 64 KiB, a plain-text
+    ``.csv.gz`` and a FIFO that a thread fills, as ``<(command)`` gives;
   - the CSV and ``--summary-json`` files of ``simulate --example32
     --reps 20``;
   - ``run_grid`` tables at d = 1 and d = 10, serial and on two processes;
@@ -68,6 +73,7 @@ import math
 import os
 import sys
 import tempfile
+import threading
 import warnings
 from pathlib import Path
 
@@ -155,6 +161,33 @@ def cli_faults(work: Path):
                              "--bound-m", "1", "--seed", "3"])
         err = buf.getvalue().replace(str(work), "WORK")
         yield f"test {x.name} {y.name} exit={code}\n{err}"
+
+
+def csv_reads(work: Path):
+    """read_matrix_csv's bytes or fault on inputs read by name and by line."""
+    rows = "".join(f"{i / 3!r},{-i},{i}e-3\n" for i in range(4000))
+    texts = {
+        "blank_header.csv": "\n\nu,v,w\n\n" + rows + "\n1,1_0,2\n" + rows,
+        "quoted_header.csv": '\ufeff"u\nv",w,z\n' + rows,
+        "crlf.csv": ("u,v,w\n\n" + rows).replace("\n", "\r\n"),
+        "plain.csv.gz": "u,v,w\n" + rows,
+    }
+    for name, text in texts.items():
+        (work / name).write_bytes(text.encode("utf-8"))
+    late = work / "late_bad_byte.csv"
+    late.write_bytes(rows.encode() * 2 + b"1,\xff,2\n")
+    assert late.stat().st_size > 2**16
+    fifo = work / "fifo"
+    os.mkfifo(fifo)
+    feeder = threading.Thread(target=fifo.write_text, args=("u,v,w\n" + rows,))
+    feeder.start()
+    for path in (*(work / name for name in texts), late, fifo):
+        try:
+            out = cli.read_matrix_csv(str(path)).tobytes().hex()
+        except Exception as exc:
+            out = f"{type(exc).__name__}: {exc}".replace(str(work), "WORK")
+        yield f"read {path.name} {out}"
+    feeder.join()
 
 
 def simulate_files(work: Path):
@@ -431,6 +464,7 @@ def main() -> None:
     with tempfile.TemporaryDirectory() as work:
         work = Path(work)
         for part in (*outcomes(), *cli_outputs(work), *cli_faults(work),
+                     *csv_reads(work),
                      *simulate_files(work),
                      *grid_tables(), *grid_cells(), *toeplitz_outputs(),
                      *statistic_parts(), *wide_streams(),

@@ -15,7 +15,7 @@ import argparse
 import csv
 import dataclasses
 import functools
-import itertools
+import io
 import json
 import math
 import os
@@ -78,53 +78,45 @@ def read_matrix_csv(path) -> np.ndarray:
     (blank lines counted) and, for a non-finite value or a number numpy does
     not read, the column and the field.
 
-    The first records are read to find the header. Then a regular file is
-    opened again, by its absolute path, and ``np.loadtxt`` skips the lines
-    up to the header and reads the rest in large chunks, not one Python
-    line at a time. Any other input, and a name that ends in ``.gz``,
-    ``.bz2``, ``.xz`` or ``.lzma``, which numpy would decompress, is read
-    on from the first handle line by line: a pipe, such as ``<(command)``
-    gives, cannot be read again from its start. A fault message re-reads
-    the file.
+    Every read starts at the start of the input. A regular file is read by
+    name: the first handle finds the header, then ``np.loadtxt`` opens the
+    file by its absolute path, skips the lines up to the header and parses
+    the rest in large chunks, not one Python line at a time. Any other
+    input, such as the pipe ``<(command)`` gives, which cannot be opened
+    again once read, and a name ending in ``.gz``, ``.bz2``, ``.xz`` or
+    ``.lzma``, which numpy would decompress, is copied into memory when
+    first opened; the parse and a fault message read that copy.
     """
     try:
-        with open(path, encoding="utf-8-sig") as fh:
-            # Lines read ahead to find the header; loadtxt re-reads the ones
-            # after it, so that it parses every data row itself.
-            ahead = []
-
-            def tapped():
-                for line in fh:
-                    ahead.append(line)
-                    yield line
-
-            records = (row for row in csv.reader(tapped()) if row)
+        with open(path, "rb") as head:
+            name = os.path.abspath(os.fsdecode(path))
+            if (stat.S_ISREG(os.fstat(head.fileno()).st_mode)
+                    and not name.endswith(_COMPRESSED_SUFFIXES)):
+                reread = functools.partial(open, path, "rb")
+            else:
+                name, reread = None, functools.partial(io.BytesIO, head.read())
+            lines = csv.reader(_text(head if name else reread()))
+            records = (row for row in lines if row)
             first = next(records, None)
             header_lines = 0
             if first is not None and not _is_numeric(first):
-                header_lines = len(ahead)
-                ahead.clear()
+                header_lines = lines.line_num
                 first = next(records, None)
-            if first is None:
-                _raise_csv_fault(path, "no data rows")
-            name = os.path.abspath(os.fsdecode(path))
-            if (stat.S_ISREG(os.fstat(fh.fileno()).st_mode)
-                    and not name.endswith(_COMPRESSED_SUFFIXES)):
-                source, skip = name, header_lines
-            else:
-                source, skip = itertools.chain(ahead, fh), 0
-            try:
-                out = np.loadtxt(
-                    source, delimiter=",", quotechar='"', comments=None,
-                    dtype=float, ndmin=2, skiprows=skip, encoding="utf-8-sig",
-                )
-            except ValueError as exc:
-                _raise_csv_fault(path, str(exc))
+        if first is None:
+            _raise_csv_fault(path, reread, "no data rows")
+        try:
+            out = np.loadtxt(
+                name or _text(reread()), delimiter=",", quotechar='"',
+                comments=None, dtype=float, ndmin=2, skiprows=header_lines,
+                encoding="utf-8-sig",
+            )
+        except ValueError as exc:
+            _raise_csv_fault(path, reread, str(exc))
         if not np.isfinite(out).all():
-            _raise_csv_fault(path, "non-finite value")
+            _raise_csv_fault(path, reread, "non-finite value")
     except UnicodeDecodeError as exc:
         raise CsvFormatError(
-            f"{path}: line {_undecodable_line(path)}: not UTF-8 text "
+            f"{path}: line {_undecodable_line(reread)}: not UTF-8 text "
             f"({exc.reason})"
         ) from exc
     except OSError as exc:
@@ -132,13 +124,18 @@ def read_matrix_csv(path) -> np.ndarray:
     return out
 
 
-def _undecodable_line(path) -> int:
-    """Number of the first line of a file that is not valid UTF-8.
+def _text(raw, newline=None) -> io.TextIOWrapper:
+    """The binary handle ``raw`` as UTF-8 text without a byte-order mark."""
+    return io.TextIOWrapper(raw, encoding="utf-8-sig", newline=newline)
+
+
+def _undecodable_line(reread) -> int:
+    """Number of the first line, in ``reread()``'s bytes, that is not UTF-8.
 
     A UTF-8 sequence never contains a newline byte, so the line of the
     first bad byte decodes badly on its own.
     """
-    with open(path, "rb") as fh:
+    with reread() as fh:
         for i, raw in enumerate(fh, start=1):
             try:
                 raw.decode("utf-8")
@@ -155,17 +152,18 @@ def _is_numeric(row) -> bool:
     return True
 
 
-def _raise_csv_fault(path, detail: str) -> NoReturn:
+def _raise_csv_fault(path, reread, detail: str) -> NoReturn:
     """Name the first fault of a CSV file that ``np.loadtxt`` rejected.
 
-    Re-reads the file record by record with ``csv.reader`` and ``float()``.
+    Re-reads the input from its start, as ``reread()`` opens it, record by
+    record with ``csv.reader`` and ``float()``.
     Structural faults (no rows, a non-numeric field, a ragged row) take
     precedence over the first non-finite value. When there is none, as for
     ``1_0``, which ``float()`` accepts and loadtxt rejects, loadtxt's own
     message ``detail`` locates the field: its row counts the non-blank data
     rows from 0. Always raises ``CsvFormatError``.
     """
-    with open(path, newline="", encoding="utf-8-sig") as fh:
+    with _text(reread(), newline="") as fh:
         # Blank records are skipped but counted, so that line numbers in
         # messages include blank lines.
         records = [(i, row) for i, row in enumerate(csv.reader(fh), start=1)

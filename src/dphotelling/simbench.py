@@ -53,8 +53,8 @@ class DesignSpec:
             raise ValueError(f"unknown design {self.design!r}")
         if _as_int(self.d, "d") < 1:
             raise ValueError("dimension must be >= 1")
-        if self.a < 0.0:
-            raise ValueError("mean shift a must be nonnegative")
+        if not 0.0 <= self.a < math.inf:
+            raise ValueError("mean shift a must be nonnegative and finite")
         if self.design == TRUNCATED_GAUSSIAN:
             if self.d != 1:
                 raise ValueError("truncated_gaussian design is one-dimensional")

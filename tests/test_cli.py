@@ -322,7 +322,8 @@ _FIFO_TEXT = "u,v,w\n" + "".join(f"{i},{i / 7!r},-{i}e-3\n"
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs FIFOs")
 class TestReadSource:
-    """A regular file is read by name, in chunks; other inputs line by line."""
+    """A regular file is read by name, in chunks; any other input from a
+    copy in memory. Both skip the header's lines from the start."""
 
     @pytest.mark.parametrize("text, skip", [
         ("1,2\n3,4\n", 0),
@@ -350,14 +351,14 @@ class TestReadSource:
                               [[1.0, 2.0]])
         assert loadtxt_sources == [(str(tmp_path / "s3:/bucket/a.csv"), 0)]
 
-    def test_fifo_read_line_by_line(self, tmp_path, deadline,
-                                    loadtxt_sources):
+    def test_fifo_read_from_a_copy(self, tmp_path, deadline,
+                                   loadtxt_sources):
         regular = tmp_path / "a.csv"
         regular.write_text(_FIFO_TEXT)
         expected = cli.read_matrix_csv(str(regular))
         with fed_fifo(tmp_path / "fifo", _FIFO_TEXT.encode()) as fifo:
             assert_same_bytes(cli.read_matrix_csv(fifo), expected)
-        assert loadtxt_sources == [(str(regular), 1), (None, 0)]
+        assert loadtxt_sources == [(str(regular), 1), (None, 1)]
 
     @pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
     def test_compressed_suffix_read_as_text(self, tmp_path, loadtxt_sources,
@@ -366,7 +367,7 @@ class TestReadSource:
         p.write_text("u,v\n1,2\n3,4\n")
         assert np.array_equal(cli.read_matrix_csv(str(p)),
                               [[1.0, 2.0], [3.0, 4.0]])
-        assert loadtxt_sources == [(None, 0)]
+        assert loadtxt_sources == [(None, 1)]
 
     def test_compressed_file_is_not_utf8(self, tmp_path):
         p = tmp_path / "a.csv.gz"
@@ -374,6 +375,57 @@ class TestReadSource:
         with pytest.raises(cli.CsvFormatError,
                            match="a.csv.gz: line 1: not UTF-8 text"):
             cli.read_matrix_csv(str(p))
+
+
+# Inputs that meet each fault of read_matrix_csv, and the fault's message.
+_PIPE_FAULTS = {
+    "non_numeric": (_FIFO_TEXT + "1,x,2\n", "line 3002: non-numeric field"),
+    "ragged": (_FIFO_TEXT + "1,2\n", "line 3002: expected 3 columns, got 2"),
+    "nan": ("u,v,w\n1,2,3\nnan,4,5\n" + _FIFO_TEXT[6:],
+            "line 3, column 1: non-finite value 'nan'"),
+    "float_only_syntax": (_FIFO_TEXT + "\n1,1_0,2\n",
+                          "line 3003, column 2: unsupported number syntax "
+                          "'1_0'"),
+    "late_bad_byte": (_FIFO_TEXT + "1,\udcff,2\n",
+                      "line 3002: not UTF-8 text (invalid start byte)"),
+    "header_only": ("u,v,w\n\n", "no data rows"),
+    "empty": ("", "file is empty"),
+}
+
+
+def _fault_data(name):
+    data = _PIPE_FAULTS[name][0].encode("utf-8", "surrogateescape")
+    assert name != "late_bad_byte" or data.index(b"\xff") > 2**16
+    return data
+
+
+def _read_fault(path):
+    with pytest.raises(cli.CsvFormatError) as caught:
+        cli.read_matrix_csv(path)
+    return str(caught.value)
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs FIFOs")
+class TestPipeFaults:
+    """A fault in a pipe gets the message a regular file gets; no read
+    blocks on opening the pipe a second time."""
+
+    @pytest.mark.parametrize("name", sorted(_PIPE_FAULTS))
+    def test_read_names_the_fault_of_a_file(self, tmp_path, deadline, name):
+        regular = tmp_path / "a.csv"
+        regular.write_bytes(_fault_data(name))
+        fault = _PIPE_FAULTS[name][1]
+        assert _read_fault(str(regular)) == f"{regular}: {fault}"
+        with fed_fifo(tmp_path / "fifo", _fault_data(name)) as fifo:
+            assert _read_fault(fifo) == f"{fifo}: {fault}"
+
+    @pytest.mark.parametrize("name", sorted(_PIPE_FAULTS))
+    def test_main_exits_2_with_the_message(self, tmp_path, h0_pair, deadline,
+                                           name):
+        with fed_fifo(tmp_path / "fifo", _fault_data(name)) as fifo:
+            code, out, err = run_pair(h0_pair[0], fifo)
+        assert (code, out) == (cli.EXIT_USAGE, "")
+        assert err == f"error: {fifo}: {_PIPE_FAULTS[name][1]}\n"
 
 
 def assert_no_child():

@@ -51,6 +51,14 @@ class TestDesignSpec:
         with pytest.raises(ValueError, match="design"):
             DesignSpec("cauchy", 1)
 
+    @pytest.mark.parametrize("a", [-0.5, -math.inf, math.nan, math.inf])
+    def test_rejects_mean_shift_outside_zero_to_inf(self, a):
+        # A NaN or infinite shift would make bound_m NaN or inf, and every
+        # grid cell built on the design would read NA.
+        with pytest.raises(ValueError,
+                           match="^mean shift a must be nonnegative"):
+            DesignSpec("uniform_cube", 3, a=a)
+
     @pytest.mark.parametrize("d", [2.5, 3.0, "3"])
     def test_rejects_non_integer_dimension(self, d):
         with pytest.raises(ValueError, match="d must be an integer"):
@@ -443,6 +451,8 @@ class TestCsvRoundTrip:
          "dimension must be >= 1"),
         ("uniform_cube,1,0.5,1,0.0,bootstrap,20,0.05\n", 3,
          "n must be at least 2, got 1"),
+        ("uniform_cube,1,0.5,100,inf,bootstrap,20,0.05\n", 3,
+         "mean shift a must be nonnegative and finite"),
         ("uniform_cube,1,0.5,100,0.0,asymptotic,0,NA\n", 3,
          "reps must be at least 1, got 0"),
         ("uniform_cube,1,0.5,100,0.0,bootstrap,20,nan\n", 3,
@@ -455,8 +465,8 @@ class TestCsvRoundTrip:
          "reject_rate 1.05 is not in \\[0, 1\\]"),
     ], ids=["empty_file", "short_row", "long_row", "bad_number",
             "unknown_design", "unknown_kind", "d_below_1", "n_below_2",
-            "reps_below_1", "nan_rate", "infinite_rate", "negative_rate",
-            "rate_above_1"])
+            "infinite_shift", "reps_below_1", "nan_rate", "infinite_rate",
+            "negative_rate", "rate_above_1"])
     def test_bad_file_names_path_and_line(self, tmp_path, rows, line,
                                           message):
         path = tmp_path / "t.csv"

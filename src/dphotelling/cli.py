@@ -74,9 +74,10 @@ def read_matrix_csv(path) -> np.ndarray:
     and may carry surrounding whitespace. ``#`` does not start a comment.
     NaN and infinite fields are rejected, as are numbers that ``float()``
     reads but numpy's parser does not, such as ``1_000``. Faults, bytes
-    that are not UTF-8 included, raise ``CsvFormatError`` naming the line
-    (blank lines counted) and, for a non-finite value or a number numpy does
-    not read, the column and the field.
+    that are not UTF-8 included, raise ``CsvFormatError`` naming the
+    physical line (blank lines and each line of a multi-line quoted field
+    count) and, for a non-finite value or a number numpy does not read, the
+    column and the field.
 
     Every read starts at the start of the input. A regular file is read by
     name: the first handle finds the header, then ``np.loadtxt`` opens the
@@ -98,12 +99,13 @@ def read_matrix_csv(path) -> np.ndarray:
             lines = csv.reader(_text(head if name else reread()))
             records = (row for row in lines if row)
             first = next(records, None)
+            if first is None:
+                raise CsvFormatError(f"{path}: file is empty")
             header_lines = 0
-            if first is not None and not _is_numeric(first):
+            if not _is_numeric(first):
                 header_lines = lines.line_num
-                first = next(records, None)
-        if first is None:
-            _raise_csv_fault(path, reread, "no data rows")
+                if next(records, None) is None:
+                    raise CsvFormatError(f"{path}: no data rows")
         try:
             out = np.loadtxt(
                 name or _text(reread()), delimiter=",", quotechar='"',
@@ -111,9 +113,9 @@ def read_matrix_csv(path) -> np.ndarray:
                 encoding="utf-8-sig",
             )
         except ValueError as exc:
-            _raise_csv_fault(path, reread, str(exc))
+            _raise_csv_fault(path, reread, header_lines, str(exc))
         if not np.isfinite(out).all():
-            _raise_csv_fault(path, reread, "non-finite value")
+            _raise_csv_fault(path, reread, header_lines, "non-finite value")
     except UnicodeDecodeError as exc:
         raise CsvFormatError(
             f"{path}: line {_undecodable_line(reread)}: not UTF-8 text "
@@ -152,28 +154,24 @@ def _is_numeric(row) -> bool:
     return True
 
 
-def _raise_csv_fault(path, reread, detail: str) -> NoReturn:
+def _raise_csv_fault(path, reread, header_lines, detail: str) -> NoReturn:
     """Name the first fault of a CSV file that ``np.loadtxt`` rejected.
 
     Re-reads the input from its start, as ``reread()`` opens it, record by
-    record with ``csv.reader`` and ``float()``.
-    Structural faults (no rows, a non-numeric field, a ragged row) take
+    record with ``csv.reader`` and ``float()``. A non-blank record is named
+    by the physical line it ends on, blank lines and each line of a
+    multi-line quoted field counted; those within the first
+    ``header_lines`` lines are the header ``read_matrix_csv`` found.
+    Structural faults (a non-numeric field, a ragged row) take
     precedence over the first non-finite value. When there is none, as for
     ``1_0``, which ``float()`` accepts and loadtxt rejects, loadtxt's own
     message ``detail`` locates the field: its row counts the non-blank data
     rows from 0. Always raises ``CsvFormatError``.
     """
     with _text(reread(), newline="") as fh:
-        # Blank records are skipped but counted, so that line numbers in
-        # messages include blank lines.
-        records = [(i, row) for i, row in enumerate(csv.reader(fh), start=1)
-                   if row]
-    if not records:
-        raise CsvFormatError(f"{path}: file is empty")
-    if not _is_numeric(records[0][1]):
-        records = records[1:]  # header row
-    if not records:
-        raise CsvFormatError(f"{path}: no data rows")
+        lines = csv.reader(fh)
+        records = [(lines.line_num, row) for row in lines
+                   if row and lines.line_num > header_lines]
     width = len(records[0][1])
     non_finite = None
     for i, row in records:

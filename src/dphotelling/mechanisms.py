@@ -308,13 +308,8 @@ def ed_covariance(rng: randkit.RngStream, s: SampleSummary,
     scaled = up * s.cov
     spectrum = numlin.symmetric_eigen(scaled)
     lam_hat = spectrum[0]
-    f = scaled.ravel()
-    psd_tol = 1e-10 * max(1.0, math.sqrt(f.dot(f)))  # np.linalg.norm
-    if lam_hat[-1] < -psd_tol:
-        raise ValueError(
-            f"covariance input is not PSD within round-off: "
-            f"min eigenvalue {lam_hat[-1]:.3e}"
-        )
+    numlin.check_psd(scaled, lam_hat[-1],
+                     "covariance input is not PSD within round-off")
 
     if not math.isfinite(eps_part):
         lam_bar = np.abs(lam_hat)

@@ -83,6 +83,15 @@ def symmetric_eigen(a: np.ndarray) -> tuple:
     return w, v
 
 
+def check_psd(a: np.ndarray, w_min: float, fault: str) -> None:
+    """Raise ValueError "<fault>: min eigenvalue ..." if ``w_min``, the
+    smallest eigenvalue of ``a``, lies below -1e-10 max(1, ||a||_F): more
+    negative than a PSD matrix's decomposition shows from round-off."""
+    f = a.ravel()
+    if w_min < -1e-10 * max(1.0, math.sqrt(f.dot(f))):  # np.linalg.norm(a)
+        raise ValueError(f"{fault}: min eigenvalue {w_min:.3e}")
+
+
 # Eigenvalue floor of inverse_sqrt_psd. Its one input, the private-corrected
 # pool, is positive definite by construction and only needs a round-off guard.
 INVERSE_ROOT_FLOOR = 1e-12
@@ -96,12 +105,7 @@ def inverse_sqrt_psd(a: np.ndarray) -> np.ndarray:
     eigenvalue below -1e-10 max(1, ||a||_F) raises ValueError.
     """
     w, v = symmetric_eigen(a)
-    f = a.ravel()
-    tol = 1e-10 * max(1.0, math.sqrt(f.dot(f)))  # np.linalg.norm(a)
-    if w[-1] < -tol:
-        raise ValueError(
-            f"matrix is not PSD within tolerance: min eigenvalue {w[-1]:.3e}"
-        )
+    check_psd(a, w[-1], "matrix is not PSD within tolerance")
     if v is _UNIT_1X1:  # V f(w) V^T is [[f(w)]]
         return np.array([[1.0 / math.sqrt(max(INVERSE_ROOT_FLOOR, w[0]))]])
     out = (v * (1.0 / np.sqrt(np.maximum(w, INVERSE_ROOT_FLOOR)))) @ v.T

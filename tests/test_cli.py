@@ -1,3 +1,4 @@
+import builtins
 import contextlib
 import csv
 import gzip
@@ -258,6 +259,19 @@ class TestReadMatrixCsv:
         with pytest.raises(cli.CsvFormatError):
             cli.read_matrix_csv(str(tmp_path / "nope.csv"))
 
+    @pytest.mark.parametrize("text, fault", [
+        ("", "file is empty"),
+        ("u,v\n\n", "no data rows"),
+    ])
+    def test_no_data_verdict_opens_the_file_once(self, tmp_path, call_count,
+                                                 text, fault):
+        p = tmp_path / "a.csv"
+        p.write_text(text)
+        opens = call_count(builtins, "open")
+        with pytest.raises(cli.CsvFormatError, match=fault):
+            cli.read_matrix_csv(str(p))
+        assert len(opens) == 1
+
 
 class _Deadline(Exception):
     pass
@@ -390,6 +404,26 @@ _PIPE_FAULTS = {
                       "line 3002: not UTF-8 text (invalid start byte)"),
     "header_only": ("u,v,w\n\n", "no data rows"),
     "empty": ("", "file is empty"),
+    # A quoted header field or a quoted data field spans two physical
+    # lines, and line 4 holds the fault.
+    "quoted_header_non_numeric": ('"u\nv",w\n1,2\n5,x\n',
+                                  "line 4: non-numeric field"),
+    "quoted_header_ragged": ('"u\nv",w\n1,2\n5\n',
+                             "line 4: expected 2 columns, got 1"),
+    "quoted_header_nan": ('"u\nv",w\n1,2\nnan,5\n',
+                          "line 4, column 1: non-finite value 'nan'"),
+    "quoted_header_float_only_syntax": (
+        '"u\nv",w\n1,2\n5,1_0\n',
+        "line 4, column 2: unsupported number syntax '1_0'"),
+    "quoted_field_non_numeric": ('1,2\n"3\n",4\n5,x\n',
+                                 "line 4: non-numeric field"),
+    "quoted_field_ragged": ('1,2\n"3\n",4\n5\n',
+                            "line 4: expected 2 columns, got 1"),
+    "quoted_field_nan": ('1,2\n"3\n",4\nnan,5\n',
+                         "line 4, column 1: non-finite value 'nan'"),
+    "quoted_field_float_only_syntax": (
+        '1,2\n"3\n",4\n5,1_0\n',
+        "line 4, column 2: unsupported number syntax '1_0'"),
 }
 
 
@@ -767,6 +801,31 @@ class TestForkedRead:
         monkeypatch.setattr(cli, "_FORK_MIN_BYTES", math.inf)
         assert cli.main(argv) == 0
         assert proc.stdout == capsys.readouterr().out
+
+
+class TestUnreadableInput:
+    """An input that cannot be opened exits 2 naming it; no child is left."""
+
+    @pytest.mark.parametrize("side, kind", [
+        ("x", "missing"),
+        ("y", "missing"),
+        ("y", "directory"),
+    ])
+    def test_exits_2_naming_the_path(self, tmp_path, h0_pair, monkeypatch,
+                                     side, kind):
+        # Every file is above the fork floor, so only the unreadable input
+        # keeps the read serial.
+        monkeypatch.setattr(cli, "_FORK_MIN_BYTES", 0)
+        bad = tmp_path / kind
+        if kind == "directory":
+            bad.mkdir()
+        pair = list(h0_pair)
+        pair["xy".index(side)] = str(bad)
+        code, out, err = run_pair(*pair)
+        assert (code, out) == (cli.EXIT_USAGE, "")
+        assert err.startswith(f"error: {bad}: cannot read (")
+        assert err.endswith(")\n") and err.count("\n") == 1
+        assert_no_child()
 
 
 class TestCmdTest:

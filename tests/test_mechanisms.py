@@ -244,6 +244,14 @@ class TestEdCovariance:
             ed_covariance(RngStream(0),
                           _summary(10, 1.0, cov=np.diag([1.0, -0.5])), 1.0)
 
+    def test_indefinite_input_message(self):
+        # C = n cov / (2 d m^2) = 2.5 cov has eigenvalue -1.25.
+        with pytest.raises(ValueError) as caught:
+            ed_covariance(RngStream(0),
+                          _summary(10, 1.0, cov=np.diag([1.0, -0.5])), 1.0)
+        assert str(caught.value) == ("covariance input is not PSD within "
+                                     "round-off: min eigenvalue -1.250e+00")
+
     @staticmethod
     def _random_cov(d, seed):
         b = np.random.default_rng(seed).standard_normal((d, d))

@@ -231,6 +231,20 @@ class TestInverseSqrtPsd:
             numlin.inverse_sqrt_psd(np.diag([1.0, -0.5]))
 
 
+class TestCheckPsd:
+    """The one PSD tolerance, -1e-10 max(1, ||a||_F), and its message."""
+
+    @pytest.mark.parametrize("a, tol", [
+        (np.diag([3.0, 4.0]), 5e-10),  # ||a||_F = 5
+        (np.diag([1e-3, 0.0]), 1e-10),  # norm below 1
+    ])
+    def test_tolerance(self, a, tol):
+        numlin.check_psd(a, -0.99 * tol, "fault")
+        with pytest.raises(ValueError) as caught:
+            numlin.check_psd(a, -1.01 * tol, "fault")
+        assert str(caught.value) == f"fault: min eigenvalue {-1.01 * tol:.3e}"
+
+
 class TestPsdSqrt:
     def test_squares_back(self):
         a = np.array([[2.0, 1.0], [1.0, 2.0]])

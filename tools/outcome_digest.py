@@ -27,6 +27,11 @@ The digest covers
     input a second time by name blocks on these for ever, so this part
     runs only on trees that re-read a pipe from a copy; compare such trees
     with the tool as it stood before the part was added;
+  - ``read_matrix_csv``'s exception type and message, the input's name
+    replaced by a fixed one, as a file and as a FIFO, when a quoted header
+    field or a quoted data field spans two lines and line 4 carries a
+    non-numeric field, a ragged row, ``nan`` or ``1_0``: the message names
+    the physical line;
   - the CSV and ``--summary-json`` files of ``simulate --example32
     --reps 20``;
   - ``run_grid`` tables at d = 1 and d = 10, serial and on two processes;
@@ -216,6 +221,28 @@ def pipe_faults(work: Path):
             out = f"{type(exc).__name__}: {exc}".replace(str(fifo), "FIFO")
         feeder.join()
         yield f"pipe fault {i} {out}"
+
+
+def multi_line_faults(work: Path):
+    """read_matrix_csv's fault after a two-line record, by file and by FIFO."""
+    layouts = ('"u\nv",w\n1,2\n', '1,2\n"3\n",4\n')
+    faults = ("5,x\n", "5\n", "nan,5\n", "5,1_0\n")
+    texts = [head + tail for head in layouts for tail in faults]
+    for i, text in enumerate(texts):
+        regular = work / f"multi_line_{i}.csv"
+        regular.write_text(text)
+        fifo = work / f"multi_line_fifo_{i}"
+        os.mkfifo(fifo)
+        feeder = threading.Thread(target=fifo.write_text, args=(text,))
+        feeder.start()
+        for path in (regular, fifo):
+            try:
+                out = repr(cli.read_matrix_csv(str(path)))
+            except Exception as exc:
+                out = f"{type(exc).__name__}: {exc}"
+            yield f"multi-line fault {i} {path.name} " + out.replace(
+                str(path), "INPUT")
+        feeder.join()
 
 
 def simulate_files(work: Path):
@@ -493,6 +520,7 @@ def main() -> None:
         work = Path(work)
         for part in (*outcomes(), *cli_outputs(work), *cli_faults(work),
                      *csv_reads(work), *pipe_faults(work),
+                     *multi_line_faults(work),
                      *simulate_files(work),
                      *grid_tables(), *grid_cells(), *toeplitz_outputs(),
                      *statistic_parts(), *wide_streams(),
